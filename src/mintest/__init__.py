@@ -58,6 +58,7 @@ from .pruning import (
     multiplicity_seeds,
     paired_view_columns,
     residual_pairs_lower_bound,
+    seed_masks,
 )
 from .search import (
     Correction,
@@ -87,6 +88,12 @@ from .bench import (
     run_benchmark,
     summarize,
 )
-from .fixtures import fixture_text, list_fixtures, load_fixture_classes, load_fixture_matrix
+from .fixtures import (
+    UnknownFixtureError,
+    fixture_text,
+    list_fixtures,
+    load_fixture_classes,
+    load_fixture_matrix,
+)
 
 __version__ = "0.1.0"

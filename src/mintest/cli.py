@@ -553,7 +553,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (MatrixFormatError, GenerationError, KeyError, ValueError) as exc:
+    except (MatrixFormatError, GenerationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (OracleCeilingError, SearchCeilingError) as exc:

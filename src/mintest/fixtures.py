@@ -7,6 +7,11 @@ from importlib import resources
 from .matrix import BooleanMatrix, parse_matrix
 from .mandatory import ClassSet, parse_class_set
 
+
+class UnknownFixtureError(ValueError):
+    """A fixture name that is not bundled with the package."""
+
+
 _FIXTURES = {
     "q25x10": "q25x10.txt",
     "m8_local": "m8_local_classes.txt",
@@ -21,7 +26,7 @@ def fixture_text(name: str) -> str:
     try:
         filename = _FIXTURES[name]
     except KeyError:
-        raise KeyError(
+        raise UnknownFixtureError(
             f"unknown fixture {name!r}; available: {', '.join(list_fixtures())}"
         ) from None
     return (resources.files(__package__) / "data" / filename).read_text("utf-8")

@@ -15,6 +15,7 @@ adjacent buckets are crossed, never all m*(m-1)/2 pairs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -115,16 +116,26 @@ class ClassSet:
     mandatory: ColumnSet = ()
     total_rows: int | None = None
 
+    @cached_property
+    def bit_of(self) -> dict[int, int]:
+        """Original column label -> its bit in the packed view rows."""
+        width = len(self.columns)
+        return {c: 1 << (width - 1 - pos) for pos, c in enumerate(self.columns)}
+
+    @cached_property
+    def classes_largest_first(self) -> tuple[ClassView, ...]:
+        """The classes by descending size, ties kept in class order."""
+        return tuple(sorted(self.classes, key=lambda c: -c.size))
+
     def mask(self, columns: Iterable[int]) -> int:
         """Bit mask of view positions for a set of original column labels."""
-        width = len(self.columns)
+        bits = self.bit_of
         mask = 0
         for c in columns:
-            try:
-                pos = self.columns.index(c)
-            except ValueError:
-                raise ValueError(f"column {c} is not part of this view") from None
-            mask |= 1 << (width - 1 - pos)
+            bit = bits.get(c)
+            if bit is None:
+                raise ValueError(f"column {c} is not part of this view")
+            mask |= bit
         return mask
 
     @property

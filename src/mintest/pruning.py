@@ -12,7 +12,12 @@ Three independent facts shrink the search, all phrased over a ClassSet:
   at most floor(p^2/4) of the p*(p-1)/2 colliding pairs get separated and
   at least p*(p-1)/2 - floor(p^2/4) >= 1 survive.  Hence every
   (k+1)-subset containing such a seed is a non-test and can be skipped
-  without checking.
+  without checking.  Seeds are found by partition refinement: a
+  depth-first search over the columns in view order keeps, per node, only
+  the row blocks of >= 3 rows that agree on the columns chosen so far, and
+  stops descending once no such block is left.  A (k+1)-subset contains a
+  seed iff one of its k one-smaller submasks is in the seed set, an O(k)
+  set probe.
 
 * Paired columns.  Two columns that are equal or complementary separate
   exactly the same row pairs, so one of them is redundant in any test that
@@ -88,10 +93,6 @@ def _class_groups(view: ClassView, mask: int) -> dict[int, list[int]]:
     return groups
 
 
-def _classes_largest_first(class_set: ClassSet) -> list[ClassView]:
-    return sorted(class_set.classes, key=lambda c: -c.size)
-
-
 def identical_projection_groups(
     class_set: ClassSet, columns: Iterable[int]
 ) -> tuple[IdenticalProjectionGroup, ...]:
@@ -124,7 +125,7 @@ def first_collision(
     """
     if mask is None:
         mask = class_set.mask(columns)
-    for view in _classes_largest_first(class_set):
+    for view in class_set.classes_largest_first:
         seen: dict[int, int] = {}
         for lab, row in zip(view.row_labels, view.rows):
             v = row & mask
@@ -139,21 +140,95 @@ def is_local_test(class_set: ClassSet, columns: Iterable[int]) -> bool:
     return first_collision(class_set, columns) is None
 
 
+def seed_masks(class_set: ClassSet, k: int, p_min: int = 3) -> set[int]:
+    """View masks of the k-subsets that project >= p_min rows of some
+    class onto one value (the multiplicity seeds of size k).
+
+    Rows are handled as bit sets over a global row index: a block is the
+    set of rows of one class that agree on the columns chosen so far, and
+    adding a column splits every block in two with one AND.  The search
+    walks the columns in view order and carries only blocks of >= p_min
+    rows, so a subset none of whose extensions can be a seed is never
+    expanded.
+    """
+    if p_min < 3:
+        raise ValueError("multiplicity seeds need p_min >= 3")
+    width = len(class_set.columns)
+    found: set[int] = set()
+    if not 0 <= k <= width:
+        return found
+    blocks: list[int] = []
+    column_rows = [0] * width  # per view position: the global rows holding a 1
+    index = 0
+    for view in class_set.classes:
+        if view.size < p_min:
+            continue
+        blocks.append(((1 << view.size) - 1) << index)
+        for row in view.rows:
+            for pos in range(width):
+                if row >> (width - 1 - pos) & 1:
+                    column_rows[pos] |= 1 << index
+            index += 1
+    if blocks and k == 0:
+        found.add(0)
+    elif blocks:
+        _refine_seeds(blocks, column_rows, 0, 0, k, p_min, found)
+    return found
+
+
+def _refine_seeds(
+    blocks: list[int],
+    column_rows: list[int],
+    mask: int,
+    start: int,
+    need: int,
+    p_min: int,
+    found: set[int],
+) -> None:
+    """Add to found every seed mask extending mask by need >= 1 more
+    columns taken from view positions start and later."""
+    width = len(column_rows)
+    for pos in range(start, width - need + 1):
+        rows = column_rows[pos]
+        bit = 1 << (width - 1 - pos)
+        if need == 1:
+            for block in blocks:
+                ones = (block & rows).bit_count()
+                if ones >= p_min or block.bit_count() - ones >= p_min:
+                    found.add(mask | bit)
+                    break
+            continue
+        split: list[int] = []
+        for block in blocks:
+            ones = block & rows
+            if ones.bit_count() >= p_min:
+                split.append(ones)
+            zeros = block ^ ones
+            if zeros.bit_count() >= p_min:
+                split.append(zeros)
+        if split:
+            _refine_seeds(split, column_rows, mask | bit, pos + 1, need - 1, p_min, found)
+
+
 def multiplicity_seeds(
     class_set: ClassSet, k: int, p_min: int = 3
 ) -> tuple[IdenticalProjectionGroup, ...]:
     """All k-subsets projecting >= p_min rows of some class onto one value.
 
     Each qualifying (subset, class) is reported once with the class's
-    largest group (ties broken by smallest row labels).  Any single-column
-    extension of a seed is a non-test, so seeds of size k prune the
-    size-(k+1) search.
+    largest group (ties broken by smallest row labels), in colex subset
+    order, then class order.  Any single-column extension of a seed is a
+    non-test, so seeds of size k prune the size-(k+1) search.  Rows are
+    grouped only for the subsets seed_masks reports.
     """
-    if p_min < 3:
-        raise ValueError("multiplicity seeds need p_min >= 3")
+    masks = seed_masks(class_set, k, p_min)
+    if not masks:
+        return ()
     seeds = []
     for subset in iter_subsets_colex(class_set.columns, k):
         mask = class_set.mask(subset)
+        if mask not in masks:
+            continue
         for view in class_set.classes:
             if view.size < p_min:
                 continue
@@ -204,10 +279,11 @@ def all_k_subsets_fail(
     The first k-subset that *is* a local test is returned as the
     counterexample and the sweep stops.
     """
-    seed_index: list[tuple[int, IdenticalProjectionGroup]] = []
+    # seed mask -> (scan position, first seed with that mask)
+    seed_of: dict[int, tuple[int, IdenticalProjectionGroup]] = {}
     if use_seeds and k >= 2:
-        for seed in multiplicity_seeds(class_set, k - 1):
-            seed_index.append((class_set.mask(seed.columns), seed))
+        for i, seed in enumerate(multiplicity_seeds(class_set, k - 1)):
+            seed_of.setdefault(class_set.mask(seed.columns), (i, seed))
     witnesses: dict[ColumnSet, tuple[str, RowPair]] = {}
     checked = 0
     skipped = 0
@@ -216,17 +292,17 @@ def all_k_subsets_fail(
         if collision is None:
             return SweepResult(False, {}, (), 0, 0)
         return SweepResult(True, {(): collision}, None, 1, 0)
+    class_set.mask(candidates)  # rejects a column outside the view
+    bit_of = class_set.bit_of
     for subset in iter_subsets_colex(tuple(candidates), k):
-        mask = class_set.mask(subset)
-        seed_hit = None
-        for smask, seed in seed_index:
-            if smask & mask == smask:
-                seed_hit = seed
-                break
-        if seed_hit is not None:
-            skipped += 1
-            witnesses[subset] = _seed_witness(class_set, seed_hit, subset)
-            continue
+        bits = [bit_of[c] for c in subset]
+        mask = sum(bits)
+        if seed_of:
+            hits = [seed_of[mask ^ b] for b in bits if mask ^ b in seed_of]
+            if hits:
+                skipped += 1
+                witnesses[subset] = _seed_witness(class_set, min(hits)[1], subset)
+                continue
         checked += 1
         collision = first_collision(class_set, subset, mask)
         if collision is None:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .heuristic import (
     HeuristicEstimate,
@@ -51,12 +51,11 @@ from .matrix import (
 from .oracle import OracleCeilingError, oracle_minimal_tests
 from .pruning import (
     CycleCost,
-    all_k_subsets_fail,
     cycle_costs,
     first_collision,
     iter_subsets_colex,
-    multiplicity_seeds,
     paired_view_columns,
+    seed_masks,
 )
 
 
@@ -321,42 +320,53 @@ def _pair_skip_masks(class_set: ClassSet, config: SearchConfig) -> list[int]:
     return [class_set.mask(pair) for pair in paired_view_columns(class_set)]
 
 
-def _enumerate_size(
+class _Scan(NamedTuple):
+    tests: list[ColumnSet]
+    checked: int
+    seed_skips: int
+    pair_skips: int
+
+
+def _seeds_for(class_set: ClassSet, size: int, use: bool) -> set[int]:
+    """Masks of the multiplicity seeds that prune the scan of one size."""
+    return seed_masks(class_set, size - 1) if use and size >= 2 else set()
+
+
+def _scan_size(
     class_set: ClassSet,
     size: int,
-    config: SearchConfig,
+    seeds: set[int],
     pair_masks: list[int],
-    counters: _Counters,
-) -> tuple[list[ColumnSet], int]:
-    """All local tests of the given size, in colex order, under pruning.
+    first_only: bool,
+) -> _Scan:
+    """Local tests of the given size, in colex order, under pruning.
 
-    Returns the found tests and the number of candidates skipped by the
-    paired-column rule (those and only those may hide non-dead-end tests).
+    A candidate covering a paired-column mask is skipped; one containing a
+    seed (one of its one-smaller submasks is in seeds) is a proven
+    non-test and skipped; every other candidate is checked.  Only the
+    paired-column skips may hide tests, and only non-dead-end ones.  The
+    size-L enumeration and the (L-1) refutation sweep both run here.
     """
-    seeds: list[int] = []
-    if config.seed_prune and size >= 2:
-        seeds = [
-            class_set.mask(s.columns)
-            for s in multiplicity_seeds(class_set, size - 1)
-        ]
-        seeds = sorted(set(seeds))
+    columns = class_set.columns
+    column_bits = [class_set.bit_of[c] for c in columns]
     found: list[ColumnSet] = []
-    pair_skips = 0
-    for subset in iter_subsets_colex(class_set.columns, size):
-        mask = class_set.mask(subset)
+    checked = seed_skips = pair_skips = 0
+    for subset, bits in zip(
+        iter_subsets_colex(columns, size), iter_subsets_colex(column_bits, size)
+    ):
+        mask = sum(bits)
         if pair_masks and any(pm & mask == pm for pm in pair_masks):
-            counters.pruned_by_pairs += 1
             pair_skips += 1
             continue
-        if seeds and any(sm & mask == sm for sm in seeds):
-            counters.pruned_by_seeds += 1
+        if seeds and not seeds.isdisjoint(map(mask.__xor__, bits)):
+            seed_skips += 1
             continue
-        counters.candidates_checked += 1
+        checked += 1
         if first_collision(class_set, subset, mask) is None:
             found.append(subset)
-            if config.first_only:
+            if first_only:
                 break
-    return found, pair_skips
+    return _Scan(found, checked, seed_skips, pair_skips)
 
 
 def _first_non_deadend_test(
@@ -380,8 +390,7 @@ def _search_local(
 ) -> tuple[int, tuple[ColumnSet, ...], SearchStats, tuple[Correction, ...]]:
     """The correction loop.  Returns the exact local length and all local
     tests of that length (just the colex-first one under first_only)."""
-    free = class_set.columns
-    n_free = len(free)
+    n_free = len(class_set.columns)
     t_ob = len(class_set.mandatory)
     counters = _Counters()
     pair_masks = _pair_skip_masks(class_set, config)
@@ -409,9 +418,17 @@ def _search_local(
         visited.append(length)
         if len(visited) > n_free + 2:
             raise RuntimeError("length correction failed to terminate")
-        found, pair_skips = _enumerate_size(
-            class_set, length, config, pair_masks, counters
+        scan = _scan_size(
+            class_set,
+            length,
+            _seeds_for(class_set, length, config.seed_prune),
+            pair_masks,
+            config.first_only,
         )
+        counters.candidates_checked += scan.checked
+        counters.pruned_by_seeds += scan.seed_skips
+        counters.pruned_by_pairs += scan.pair_skips
+        found, pair_skips = scan.tests, scan.pair_skips
         if found:
             all_dead = all(local_deadend(class_set, t).ok for t in found)
             if all_dead:
@@ -421,17 +438,19 @@ def _search_local(
                     k=length - 1, p=2, n=n_free + t_ob, t_ob=t_ob, t0=t_ob + length
                 )
                 counters.cycle_cost = cost
-                sweep = all_k_subsets_fail(
+                use_seeds = config.seed_prune and cost.chosen == "z2"
+                sweep = _scan_size(
                     class_set,
-                    free,
                     length - 1,
-                    use_seeds=config.seed_prune and cost.chosen == "z2",
+                    _seeds_for(class_set, length - 1, use_seeds),
+                    [],
+                    first_only=True,
                 )
                 counters.sweep_checked += sweep.checked
-                if sweep.all_fail:
+                if not sweep.tests:
                     refuted = max(refuted, length - 1)
                     break
-                reduced = jump_down(found, pair_skips, sweep.counterexample)
+                reduced = jump_down(found, pair_skips, sweep.tests[0])
                 corrections.append(
                     Correction(
                         old_length=t_ob + length,

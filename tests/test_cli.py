@@ -200,6 +200,21 @@ class TestGenAndBench:
         assert row["exact_t0"] == "7"
         assert row["n_minimal_tests"] == "9"
 
+    def test_bench_unknown_fixture_exit_1(self, capsys):
+        code, _, err = run(capsys, "bench", "--fixture", "no_such_fixture")
+        assert code == 1
+        assert "unknown fixture 'no_such_fixture'" in err
+
+    def test_internal_key_error_is_not_an_input_error(self, monkeypatch):
+        import mintest.cli as cli
+
+        def broken(args):
+            raise KeyError("internal")
+
+        monkeypatch.setattr(cli, "_cmd_gen", broken)
+        with pytest.raises(KeyError):
+            main(["gen", "--rows", "4", "--cols", "3"])
+
     def test_bench_json_summary(self, capsys):
         code, out, err = run(
             capsys,

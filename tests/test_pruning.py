@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,6 +22,7 @@ from mintest import (
     parse_matrix,
     partition_by_mandatory,
     residual_pairs_lower_bound,
+    seed_masks,
     sort_rows_by_binary_value,
 )
 from mintest.pruning import cycle_cost_factorial_form
@@ -179,6 +181,87 @@ class TestMultiplicitySeeds:
     def test_p_min_validation(self, q25_views):
         with pytest.raises(ValueError):
             multiplicity_seeds(q25_views, 2, p_min=2)
+
+
+def random_class_set(seed):
+    """Rows of a seeded random matrix, classed by their first 0-2 columns."""
+    m = sort_rows_by_binary_value(
+        random_matrix(
+            seed,
+            rows=8 + seed % 13,
+            cols=5 + seed % 4,
+            density=(0.3, 0.5, 0.7)[seed % 3],
+        )
+    )
+    return class_views(m, partition_by_mandatory(m, range(1, 1 + seed % 3)))
+
+
+def reference_seed_masks(class_set, k, p_min):
+    """Masks of the k-subsets leaving >= p_min equal projections in a class."""
+    out = set()
+    for subset in iter_subsets_colex(class_set.columns, k):
+        mask = class_set.mask(subset)
+        for view in class_set.classes:
+            if max(Counter(row & mask for row in view.rows).values()) >= p_min:
+                out.add(mask)
+                break
+    return out
+
+
+class TestSeedMasks:
+    @pytest.mark.parametrize("p_min", [3, 4, 5])
+    def test_matches_reference_on_random_class_sets(self, p_min):
+        for seed in range(30):
+            cs = random_class_set(seed)
+            for k in range(len(cs.columns) + 1):
+                assert seed_masks(cs, k, p_min) == reference_seed_masks(cs, k, p_min), (
+                    seed,
+                    k,
+                )
+
+    def test_fixture_matches_reference_and_seed_table(self, q25_views):
+        for k in range(len(q25_views.columns) + 1):
+            masks = seed_masks(q25_views, k)
+            assert masks == reference_seed_masks(q25_views, k, 3)
+            assert masks == {
+                q25_views.mask(g.columns) for g in multiplicity_seeds(q25_views, k)
+            }
+
+    def test_k_zero(self, q25_views, m8):
+        assert seed_masks(q25_views, 0) == {0}
+        assert seed_masks(m8, 0) == set()
+
+    def test_k_width_and_beyond(self, q25_views):
+        width = len(q25_views.columns)
+        assert seed_masks(q25_views, width) == set()
+        assert seed_masks(q25_views, width + 1) == set()
+        assert seed_masks(q25_views, -1) == set()
+
+    def test_no_class_of_three_rows(self, m8):
+        assert max(v.size for v in m8.classes) < 3
+        for k in range(len(m8.columns) + 1):
+            assert seed_masks(m8, k) == set()
+
+    def test_p_min_validation(self, q25_views):
+        with pytest.raises(ValueError):
+            seed_masks(q25_views, 2, p_min=2)
+
+
+class TestSeededSweepWitnesses:
+    def test_skipped_subsets_cite_first_seed_in_scan_order(self):
+        for seed in range(30):
+            cs = random_class_set(seed)
+            for k in range(2, len(cs.columns) + 1):
+                seeds = multiplicity_seeds(cs, k - 1)
+                sweep = all_k_subsets_fail(cs, cs.columns, k, use_seeds=True)
+                for subset, (cls_name, (a, b)) in sweep.witnesses.items():
+                    first = next(
+                        (g for g in seeds if set(g.columns) <= set(subset)), None
+                    )
+                    if first is None:
+                        continue  # refuted by a projection check
+                    assert cls_name == first.class_name
+                    assert a in first.rows and b in first.rows
 
 
 class TestResidualBound:
