@@ -29,13 +29,13 @@ from .mandatory import (
     MandatoryResult,
     Partition,
     PartitionClass,
+    candidate_pair_count,
     candidate_pairs,
     class_views,
     find_mandatory,
     load_class_set,
     parse_class_set,
     partition_by_mandatory,
-    refine_mandatory,
 )
 from .heuristic import (
     ColumnPairStats,

@@ -19,7 +19,7 @@ from .generate import GenerationError, GeneratorConfig, generate_matrix
 from .heuristic import column_pair_stats, estimate_length, union_pair_stats
 from .mandatory import (
     ClassSet,
-    candidate_pairs,
+    candidate_pair_count,
     class_views,
     find_mandatory,
     partition_by_mandatory,
@@ -112,7 +112,7 @@ def _cmd_analyze(args) -> int:
     partition = partition_by_mandatory(sorted_matrix, mandatory.columns)
     stats = column_pair_stats(sorted_matrix)
     estimate = estimate_length(stats)
-    cand = candidate_pairs(sorted_matrix)
+    cand = candidate_pair_count(sorted_matrix)
     cs = class_views(sorted_matrix, partition) if partition.classes else None
     local = union_pair_stats(cs) if cs else None
     local_est = estimate_length(local) if local else None
@@ -122,7 +122,7 @@ def _cmd_analyze(args) -> int:
             "rows": matrix.row_count,
             "cols": matrix.col_count,
             "total_pairs": matrix.total_pairs,
-            "candidate_pairs": len(cand),
+            "candidate_pairs": cand,
             "mandatory": list(mandatory.columns),
             "witnesses": {
                 str(c): [list(p) for p in ws]
@@ -156,8 +156,8 @@ def _cmd_analyze(args) -> int:
     lines = [
         f"matrix: {matrix.row_count} rows x {matrix.col_count} columns "
         f"({matrix.total_pairs} row pairs)",
-        f"candidate pairs (popcount diff 1): {len(cand)} "
-        f"({100.0 * len(cand) / matrix.total_pairs:.1f}%)",
+        f"candidate pairs (popcount diff 1): {cand} "
+        f"({100.0 * cand / matrix.total_pairs:.1f}%)",
         "mandatory columns: "
         + (" ".join(str(c) for c in mandatory.columns) or "(none)"),
     ]
@@ -498,7 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     group = p.add_mutually_exclusive_group()
     group.add_argument(
-        "--all", action="store_true", default=True, help="all minimal tests (default)"
+        "--all", action="store_true", default=True, help=argparse.SUPPRESS
     )
     group.add_argument(
         "--first", action="store_true", help="stop after the first minimal test"

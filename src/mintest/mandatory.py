@@ -7,16 +7,19 @@ mandatory columns form a *class*; any pair of rows from different classes
 is already separated, so the remaining search only has to distinguish rows
 inside each multi-row class using the non-mandatory columns.
 
-Candidate pairs for the distance-1 scan come from popcount buckets: two
-rows at Hamming distance 1 must differ in popcount by exactly 1, so only
-adjacent buckets are crossed, never all m*(m-1)/2 pairs.
+The distance-1 scan is a bit-flip probe: with every row keyed by its
+packed value, a row r with column c clear has a distance-1 partner in c
+exactly when r with c set is also a row, so one dict lookup per row per
+column finds every witness pair in O(m*n).  Two rows at distance 1 differ
+in popcount by exactly 1; the pairs of adjacent popcount buckets are kept
+only as the statistic `mintest analyze` prints (candidate_pair_count).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations
 from typing import Iterable, Sequence
 
 from .matrix import (
@@ -24,6 +27,7 @@ from .matrix import (
     ColumnSet,
     MatrixFormatError,
     RowPair,
+    flip_pairs,
     normalize_columns,
     pair_count,
 )
@@ -162,8 +166,8 @@ def candidate_pairs(matrix: BooleanMatrix) -> tuple[RowPair, ...]:
     distance 1.
     """
     buckets: dict[int, list[int]] = {}
-    for lab in matrix.row_labels:
-        buckets.setdefault(matrix.bits(lab).bit_count(), []).append(lab)
+    for lab, row in zip(matrix.row_labels, matrix.rows):
+        buckets.setdefault(row.bit_count(), []).append(lab)
     pairs: list[RowPair] = []
     for r in sorted(buckets):
         if r + 1 not in buckets:
@@ -175,25 +179,32 @@ def candidate_pairs(matrix: BooleanMatrix) -> tuple[RowPair, ...]:
     return tuple(pairs)
 
 
+def candidate_pair_count(matrix: BooleanMatrix) -> int:
+    """len(candidate_pairs(matrix)) without building the pairs.
+
+    The sum over popcounts r of |B_r| * |B_(r+1)|, B_r being the rows
+    with r ones.  O(m).
+    """
+    sizes = Counter(row.bit_count() for row in matrix.rows)
+    return sum(size * sizes[r + 1] for r, size in sizes.items())
+
+
 def find_mandatory(matrix: BooleanMatrix) -> MandatoryResult:
-    """Complete mandatory-column scan over the candidate pairs.
+    """Complete mandatory-column scan by the bit-flip probe.
 
     A column is mandatory iff some pair of rows is distinguished by it
-    alone; such a pair is at Hamming distance 1 and therefore appears
-    among the candidate pairs.
+    alone, i.e. one row is the other with that column's bit flipped.
+    Each pair is probed once, from its row with the bit clear; witness
+    pairs are (smaller label, larger label), sorted per column.
     """
-    witnesses: dict[int, list[RowPair]] = {}
+    index = dict(zip(matrix.rows, matrix.row_labels))
     n = matrix.col_count
-    for a, b in candidate_pairs(matrix):
-        diff = matrix.bits(a) ^ matrix.bits(b)
-        if diff.bit_count() == 1:
-            column = n - diff.bit_length() + 1
-            witnesses.setdefault(column, []).append((a, b))
-    columns = tuple(sorted(witnesses))
-    return MandatoryResult(
-        columns=columns,
-        witnesses={c: tuple(witnesses[c]) for c in columns},
-    )
+    witnesses: dict[int, tuple[RowPair, ...]] = {}
+    for column in range(1, n + 1):
+        pairs = sorted(flip_pairs(index, 1 << (n - column)))
+        if pairs:
+            witnesses[column] = tuple(pairs)
+    return MandatoryResult(columns=tuple(witnesses), witnesses=witnesses)
 
 
 def partition_by_mandatory(
@@ -208,8 +219,7 @@ def partition_by_mandatory(
     mand = normalize_columns(mandatory, matrix.col_count)
     n = matrix.col_count
     groups: dict[tuple[int, ...], list[int]] = {}
-    for lab in sorted(matrix.row_labels):
-        bits = matrix.bits(lab)
+    for lab, bits in sorted(zip(matrix.row_labels, matrix.rows)):
         key = tuple((bits >> (n - c)) & 1 for c in mand)
         groups.setdefault(key, []).append(lab)
     classes = []
@@ -230,53 +240,6 @@ def partition_by_mandatory(
         dropped_singletons=tuple(singles),
         singleton_keys=tuple(single_keys),
     )
-
-
-def refine_mandatory(matrix: BooleanMatrix) -> tuple[MandatoryResult, Partition]:
-    """Fixpoint variant: rescan inside classes and re-partition until stable.
-
-    After the global scan, each multi-row class is searched for pairs
-    distinguished by exactly one non-mandatory column; any such column is
-    promoted and the partition rebuilt.  The loop terminates because the
-    mandatory set grows monotonically, and it provably adds nothing beyond
-    find_mandatory: a within-class single-column pair agrees on all
-    mandatory columns, so it is a global distance-1 pair already seen.
-    The path exists so that equivalence is testable, not because it finds
-    more.
-    """
-    result = find_mandatory(matrix)
-    columns = set(result.columns)
-    witnesses = {c: list(ws) for c, ws in result.witnesses.items()}
-    n = matrix.col_count
-    while True:
-        partition = partition_by_mandatory(matrix, columns)
-        free_mask = matrix.column_mask(
-            c for c in range(1, n + 1) if c not in columns
-        )
-        promoted = False
-        for cls in partition.classes:
-            pops = {lab: matrix.bits(lab).bit_count() for lab in cls.members}
-            for a, b in combinations(cls.members, 2):
-                if abs(pops[a] - pops[b]) != 1:
-                    continue
-                diff = (matrix.bits(a) ^ matrix.bits(b)) & free_mask
-                if diff.bit_count() == 1:
-                    column = n - diff.bit_length() + 1
-                    if column not in columns:
-                        columns.add(column)
-                        promoted = True
-                    witnesses.setdefault(column, [])
-                    if (a, b) not in witnesses[column]:
-                        witnesses[column].append((a, b))
-        if not promoted:
-            cols = tuple(sorted(columns))
-            return (
-                MandatoryResult(
-                    columns=cols,
-                    witnesses={c: tuple(witnesses.get(c, ())) for c in cols},
-                ),
-                partition,
-            )
 
 
 def class_views(

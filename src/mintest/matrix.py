@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
@@ -39,6 +40,26 @@ def pair_count(m: int) -> int:
 def iter_row_pairs(labels: Sequence[int]) -> Iterator[RowPair]:
     """Unordered label pairs in lexicographic (first, second) order."""
     return combinations(sorted(labels), 2)
+
+
+def flip_pairs(
+    index: dict[int, int], bit: int, keys: Iterable[int] | None = None
+) -> Iterator[RowPair]:
+    """Label pairs whose keys differ in `bit` alone, in the order of keys.
+
+    Map each row's projection onto a column set T to its label: two rows
+    are separated within T by the column of `bit` alone exactly when one
+    key is the other with that bit flipped.  Each pair is probed once,
+    from its key with `bit` clear (one dict lookup per key), and yielded
+    as (smaller label, larger label).  keys defaults to the index itself;
+    pass them sorted to get the pair with the smallest key first.
+    """
+    for key in index if keys is None else keys:
+        if not key & bit:
+            partner = index.get(key | bit)
+            if partner is not None:
+                label = index[key]
+                yield (label, partner) if label < partner else (partner, label)
 
 
 def normalize_columns(columns: Iterable[int], col_count: int) -> ColumnSet:
@@ -85,10 +106,15 @@ class BooleanMatrix:
         """Unordered row-pair count of the matrix."""
         return pair_count(self.row_count)
 
+    @cached_property
+    def position_of(self) -> dict[int, int]:
+        """Row label -> its position in rows."""
+        return {lab: i for i, lab in enumerate(self.row_labels)}
+
     def _index(self, label: int) -> int:
         try:
-            return self.row_labels.index(label)
-        except ValueError:
+            return self.position_of[label]
+        except KeyError:
             raise KeyError(f"unknown row label {label}") from None
 
     def bits(self, label: int) -> int:

@@ -44,6 +44,7 @@ from .matrix import (
     BooleanMatrix,
     ColumnSet,
     RowPair,
+    flip_pairs,
     is_test,
     normalize_columns,
     sort_rows_by_binary_value,
@@ -170,41 +171,48 @@ def _json_default(obj):
 # dead-end checks on the full matrix
 
 
-def is_deadend(matrix: BooleanMatrix, columns: Iterable[int]) -> DeadendCheck:
-    """Check irredundancy: every column must separate some pair alone.
+def _deadend_check(
+    index: dict[int, int], column_bits: Iterable[tuple[int, int]]
+) -> DeadendCheck:
+    """Dead-end verdict from a test's projected-row keys -> labels.
 
-    For each column c of the test, rows are grouped by their projection
-    onto the other test columns; a two-row group is a pair distinguished
-    by c and nothing else in the test.  (Groups never exceed two rows in a
-    test.)  A column with no such pair is redundant and the set minus that
-    column is still a test; the highest-indexed redundant column is
-    reported.  Witness choice is deterministic: the pair with the smallest
-    shared projection value.
+    Column c separates a pair alone exactly when the pair's keys differ
+    in c's bit only.  The keys are sorted once, so the first pair
+    flip_pairs yields is the witness with the smallest key.  A column
+    with no such pair is redundant; the highest-indexed one is reported.
     """
-    cols = normalize_columns(columns, matrix.col_count)
-    if not is_test(matrix, cols):
-        raise ValueError("dead-end check requires a test")
+    keys = sorted(index)
     witnesses: list[tuple[int, RowPair]] = []
     redundant: int | None = None
-    for c in cols:
-        rest_mask = matrix.column_mask(x for x in cols if x != c)
-        groups: dict[int, list[int]] = {}
-        for lab, row in zip(matrix.row_labels, matrix.rows):
-            groups.setdefault(row & rest_mask, []).append(lab)
-        pair = None
-        for key in sorted(groups):
-            labs = groups[key]
-            if len(labs) == 2:
-                pair = (min(labs), max(labs))
-                break
-        if pair is None:
-            if redundant is None or c > redundant:
-                redundant = c
-        else:
+    for c, bit in column_bits:
+        pair = next(flip_pairs(index, bit, keys), None)
+        if pair is not None:
             witnesses.append((c, pair))
+        elif redundant is None or c > redundant:
+            redundant = c
     if redundant is not None:
         return DeadendCheck(ok=False, witnesses=tuple(witnesses), redundant=redundant)
     return DeadendCheck(ok=True, witnesses=tuple(witnesses))
+
+
+def is_deadend(matrix: BooleanMatrix, columns: Iterable[int]) -> DeadendCheck:
+    """Check irredundancy: every column must separate some pair alone.
+
+    Rows are keyed by their projection onto the test; column c separates
+    a pair alone when one key is the other with c's bit flipped, which
+    takes one dict lookup per row to find.  A column with no such pair is
+    redundant and the set minus that column is still a test; the
+    highest-indexed redundant column is reported.  Witness choice is
+    deterministic: the pair with the smallest projection value.
+    """
+    cols = normalize_columns(columns, matrix.col_count)
+    n = matrix.col_count
+    column_bits = [(c, 1 << (n - c)) for c in cols]
+    mask = sum(bit for _, bit in column_bits)
+    index = {row & mask: lab for row, lab in zip(matrix.rows, matrix.row_labels)}
+    if len(index) != matrix.row_count:  # is_test: projections all distinct
+        raise ValueError("dead-end check requires a test")
+    return _deadend_check(index, column_bits)
 
 
 def deadend_reduce(matrix: BooleanMatrix, columns: Iterable[int]) -> ColumnSet:
@@ -263,33 +271,21 @@ def verify_test(
 def local_deadend(class_set: ClassSet, columns: ColumnSet) -> DeadendCheck:
     """Dead-end check of a local test inside the class structure.
 
-    The columns must already be a local test; witness pairs are the
-    two-row groups that agree on everything in the set but one column.
+    The columns must already be a local test.  Each row is keyed by its
+    class position above its projection onto the set, so the probe of
+    is_deadend finds witness pairs inside one class only, and the
+    smallest key picks the first class in class order that has a pair,
+    then the smallest projection inside it.
     """
-    witnesses: list[tuple[int, RowPair]] = []
-    redundant: int | None = None
-    for c in columns:
-        rest_mask = class_set.mask(x for x in columns if x != c)
-        pair: RowPair | None = None
-        best_key: tuple[int, int] | None = None
-        for idx, view in enumerate(class_set.classes):
-            groups: dict[int, list[int]] = {}
-            for lab, row in zip(view.row_labels, view.rows):
-                groups.setdefault(row & rest_mask, []).append(lab)
-            for key, labs in groups.items():
-                if len(labs) == 2:
-                    cand = (idx, key)
-                    if best_key is None or cand < best_key:
-                        best_key = cand
-                        pair = (min(labs), max(labs))
-        if pair is None:
-            if redundant is None or c > redundant:
-                redundant = c
-        else:
-            witnesses.append((c, pair))
-    if redundant is not None:
-        return DeadendCheck(ok=False, witnesses=tuple(witnesses), redundant=redundant)
-    return DeadendCheck(ok=True, witnesses=tuple(witnesses))
+    mask = class_set.mask(columns)
+    width = len(class_set.columns)
+    index = {
+        (idx << width) | (row & mask): lab
+        for idx, view in enumerate(class_set.classes)
+        for row, lab in zip(view.rows, view.row_labels)
+    }
+    bit_of = class_set.bit_of
+    return _deadend_check(index, ((c, bit_of[c]) for c in columns))
 
 
 def local_deadend_reduce(class_set: ClassSet, columns: ColumnSet) -> ColumnSet:

@@ -90,6 +90,17 @@ class TestEnumerate:
         assert code == 0
         assert "minimal tests: 1" in out
 
+    def test_all_flag_accepted_but_not_listed(self, capsys):
+        code, out, _ = run(capsys, "enumerate", "--input", "q25x10", "--all")
+        assert code == 0
+        assert "minimal tests: 9" in out
+        with pytest.raises(SystemExit) as exc:
+            main(["enumerate", "--help"])
+        assert exc.value.code == 0
+        help_text = capsys.readouterr().out
+        assert "--first" in help_text
+        assert "--all" not in help_text
+
     def test_class_set_input(self, capsys):
         code, out, _ = run(capsys, "enumerate", "--input", "m8_local")
         assert code == 0

@@ -13,7 +13,6 @@ from mintest import (
     parse_class_set,
     parse_matrix,
     partition_by_mandatory,
-    refine_mandatory,
 )
 from mintest.matrix import MatrixFormatError
 
@@ -132,24 +131,6 @@ class TestPartition:
                 for local in combinations(cs.columns, k):
                     full = tuple(sorted(mand + local))
                     assert is_test(m, full) == is_local_test(cs, local)
-
-
-class TestRefineMandatory:
-    def test_fixture_adds_nothing(self, q25):
-        res, part = refine_mandatory(q25)
-        assert res.columns == (5, 8, 10)
-        assert {c.key: c.members for c in part.classes} == Q25_CLASSES
-
-    def test_two_rows(self):
-        res, part = refine_mandatory(parse_matrix("00\n01\n"))
-        assert res.columns == (2,)
-        assert part.classes == ()
-
-    def test_equals_global_scan_on_random_stream(self):
-        for seed in range(100):
-            m = random_matrix(seed, rows=9, cols=7, density=0.4)
-            refined, _ = refine_mandatory(m)
-            assert refined.columns == find_mandatory(m).columns
 
 
 class TestClassViews:

@@ -118,6 +118,17 @@ class TestDistinguishingColumns:
         with pytest.raises(KeyError):
             distinguishing_columns(q25, 1, 99)
 
+    def test_bits_of_unknown_label(self, q25):
+        for label in (0, 26, -1):
+            with pytest.raises(KeyError, match="unknown row label"):
+                q25.bits(label)
+
+    def test_bits_follow_labels_after_sorting(self, q25):
+        s = sort_rows_by_binary_value(q25)
+        assert [s.bits(lab) for lab in range(1, 26)] == [
+            q25.bits(lab) for lab in range(1, 26)
+        ]
+
     def test_same_label_rejected(self, q25):
         with pytest.raises(ValueError):
             distinguishing_columns(q25, 1, 1)
