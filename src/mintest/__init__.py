@@ -12,14 +12,11 @@ from .matrix import (
     ColumnSet,
     DuplicateColumnWarning,
     MatrixFormatError,
-    MatrixView,
     distinguishing_columns,
     is_test,
-    iter_row_pairs,
     load_matrix,
     pair_count,
     parse_matrix,
-    project,
     row_popcounts,
     sort_rows_by_binary_value,
 )

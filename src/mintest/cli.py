@@ -102,6 +102,22 @@ def _estimate_lines(title: str, est) -> list[str]:
     return lines
 
 
+def _seed_docs(cs: ClassSet, k: int) -> list[dict]:
+    return [
+        {"columns": list(s.columns), "class": s.class_name, "rows": list(s.rows)}
+        for s in multiplicity_seeds(cs, k)
+    ]
+
+
+def _seed_lines(cs: ClassSet, k: int) -> list[str]:
+    lines = [f"multiplicity seeds (k={k}, p>=3):"]
+    for s in multiplicity_seeds(cs, k):
+        lines.append(
+            f"  ({_columns_str(s.columns)}) -> {s.class_name}: ({_columns_str(s.rows)})"
+        )
+    return lines
+
+
 def _cmd_analyze(args) -> int:
     data = _load_any(args.input)
     if isinstance(data, ClassSet):
@@ -142,14 +158,7 @@ def _cmd_analyze(args) -> int:
             ],
         }
         if args.seeds and cs:
-            doc["seeds"] = [
-                {
-                    "columns": list(s.columns),
-                    "class": s.class_name,
-                    "rows": list(s.rows),
-                }
-                for s in multiplicity_seeds(cs, args.seed_size)
-            ]
+            doc["seeds"] = _seed_docs(cs, args.seed_size)
         _emit(args, json.dumps(doc, indent=2, sort_keys=True))
         return EXIT_OK
 
@@ -206,12 +215,7 @@ def _cmd_analyze(args) -> int:
             + " ".join(f"({a},{b})" for a, b in bij)
         )
     if args.seeds and cs:
-        lines.append(f"multiplicity seeds (k={args.seed_size}, p>=3):")
-        for s in multiplicity_seeds(cs, args.seed_size):
-            lines.append(
-                f"  ({_columns_str(s.columns)}) -> {s.class_name}: "
-                f"({_columns_str(s.rows)})"
-            )
+        lines.extend(_seed_lines(cs, args.seed_size))
     _emit(args, "\n".join(lines))
     return EXIT_OK
 
@@ -234,10 +238,7 @@ def _analyze_class_set(args, cs: ClassSet) -> int:
             ],
         }
         if args.seeds:
-            doc["seeds"] = [
-                {"columns": list(s.columns), "class": s.class_name, "rows": list(s.rows)}
-                for s in multiplicity_seeds(cs, args.seed_size)
-            ]
+            doc["seeds"] = _seed_docs(cs, args.seed_size)
         _emit(args, json.dumps(doc, indent=2, sort_keys=True))
         return EXIT_OK
     lines = [
@@ -258,12 +259,7 @@ def _analyze_class_set(args, cs: ClassSet) -> int:
             f"(reduction x{total / cs.within_pair_total:.1f})"
         )
     if args.seeds:
-        lines.append(f"multiplicity seeds (k={args.seed_size}, p>=3):")
-        for s in multiplicity_seeds(cs, args.seed_size):
-            lines.append(
-                f"  ({_columns_str(s.columns)}) -> {s.class_name}: "
-                f"({_columns_str(s.rows)})"
-            )
+        lines.extend(_seed_lines(cs, args.seed_size))
     _emit(args, "\n".join(lines))
     return EXIT_OK
 

@@ -38,9 +38,6 @@ class ColumnPairStats:
     distinguished: tuple[int, ...]
     undistinguished: tuple[int, ...]
 
-    def undistinguished_of(self, column: int) -> int:
-        return self.undistinguished[self.columns.index(column)]
-
 
 @dataclass(frozen=True)
 class HeuristicEstimate:

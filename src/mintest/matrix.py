@@ -17,7 +17,6 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
 ColumnSet = tuple[int, ...]
@@ -35,11 +34,6 @@ class DuplicateColumnWarning(UserWarning):
 def pair_count(m: int) -> int:
     """Number of unordered row pairs, m*(m-1)/2."""
     return m * (m - 1) // 2
-
-
-def iter_row_pairs(labels: Sequence[int]) -> Iterator[RowPair]:
-    """Unordered label pairs in lexicographic (first, second) order."""
-    return combinations(sorted(labels), 2)
 
 
 def flip_pairs(
@@ -147,19 +141,6 @@ class BooleanMatrix:
         return v
 
 
-@dataclass(frozen=True)
-class MatrixView:
-    """Projection of a matrix onto a column subset; duplicate rows allowed."""
-
-    columns: ColumnSet
-    row_labels: tuple[int, ...]
-    rows: tuple[int, ...]
-
-    def row_string(self, label: int) -> str:
-        i = self.row_labels.index(label)
-        return format(self.rows[i], f"0{len(self.columns)}b")
-
-
 def parse_matrix(text: str) -> BooleanMatrix:
     """Parse matrix text: one '0'/'1' row per line, '#' comments, blanks ignored.
 
@@ -265,17 +246,3 @@ def is_test(matrix: BooleanMatrix, columns: Iterable[int]) -> bool:
         return matrix.row_count < 2
     mask = matrix.column_mask(cols)
     return len({r & mask for r in matrix.rows}) == matrix.row_count
-
-
-def project(matrix: BooleanMatrix, columns: Iterable[int]) -> MatrixView:
-    """Submatrix over the given columns, labels preserved, duplicates allowed."""
-    cols = normalize_columns(columns, matrix.col_count)
-    n = matrix.col_count
-    shifts = [n - c for c in cols]
-    packed = []
-    for r in matrix.rows:
-        v = 0
-        for s in shifts:
-            v = (v << 1) | ((r >> s) & 1)
-        packed.append(v)
-    return MatrixView(columns=cols, row_labels=matrix.row_labels, rows=tuple(packed))

@@ -11,20 +11,25 @@ holds a certificate before it ever accepts:
 * any test found that is not dead-end proves a shorter test exists; its
   dead-end reduction tells the loop where to jump.
 
+Every downward jump goes to the dead-end reduction of one target test,
+picked by one rule: with no paired-column skip at this size, the first
+non-dead-end test found; otherwise the first non-dead-end test of an
+unpruned rescan of the size; failing both, the (L-1) sweep's test.
+
 Pruning never changes the outcome.  Multiplicity seeds only skip subsets
 that are provably non-tests.  Subsets skipped for containing a paired
-column can be tests, but only non-dead-end ones, and whether such a test
-exists is decided by the same (L-1) sweep; the downward jump target is
-always taken from the first non-dead-end test in plain subset order,
-scanned without pruning, so every pruning configuration walks the same
-sequence of sizes and reports identical results.
+column can be tests, but only non-dead-end ones, and whenever such a skip
+happened the jump target comes from the unpruned rescan, so every pruning
+configuration walks the same sequence of sizes and reports identical
+results.  Each dead-end verdict is computed once per search.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
-from typing import Iterable, NamedTuple
+from functools import partial
+from typing import Callable, Iterable, NamedTuple
 
 from .heuristic import (
     HeuristicEstimate,
@@ -73,7 +78,6 @@ class SearchConfig:
     pair_prune: bool = True
     first_only: bool = False
     initial_length: int | None = None
-    union_classes: tuple[str, ...] | None = None
     no_heuristic_ceiling: int = 22
 
 
@@ -215,14 +219,21 @@ def is_deadend(matrix: BooleanMatrix, columns: Iterable[int]) -> DeadendCheck:
     return _deadend_check(index, column_bits)
 
 
+def _reduce(
+    check: Callable[[ColumnSet], DeadendCheck], columns: ColumnSet
+) -> ColumnSet:
+    """Strip redundant columns (highest index first) until dead-end."""
+    while True:
+        verdict = check(columns)
+        if verdict.ok:
+            return columns
+        columns = tuple(c for c in columns if c != verdict.redundant)
+
+
 def deadend_reduce(matrix: BooleanMatrix, columns: Iterable[int]) -> ColumnSet:
     """Strip redundant columns (highest index first) until dead-end."""
-    current = normalize_columns(columns, matrix.col_count)
-    while True:
-        check = is_deadend(matrix, current)
-        if check.ok:
-            return current
-        current = tuple(c for c in current if c != check.redundant)
+    cols = normalize_columns(columns, matrix.col_count)
+    return _reduce(partial(is_deadend, matrix), cols)
 
 
 def verify_test(
@@ -289,35 +300,12 @@ def local_deadend(class_set: ClassSet, columns: ColumnSet) -> DeadendCheck:
 
 
 def local_deadend_reduce(class_set: ClassSet, columns: ColumnSet) -> ColumnSet:
-    current = tuple(sorted(columns))
-    while True:
-        check = local_deadend(class_set, current)
-        if check.ok:
-            return current
-        current = tuple(c for c in current if c != check.redundant)
-
-
-@dataclass
-class _Counters:
-    candidates_checked: int = 0
-    sweep_checked: int = 0
-    pruned_by_seeds: int = 0
-    pruned_by_pairs: int = 0
-    cycle_cost: CycleCost | None = None
-
-
-def _pair_skip_masks(class_set: ClassSet, config: SearchConfig) -> list[int]:
-    """Masks of locally-paired column pairs; candidates covering one are
-    skipped.  A free column paired with a mandatory column is useless
-    inside classes (the mandatory column is constant there), which the
-    per-class pairing already captures, so only view columns appear here."""
-    if not config.pair_prune:
-        return []
-    return [class_set.mask(pair) for pair in paired_view_columns(class_set)]
+    return _reduce(partial(local_deadend, class_set), tuple(sorted(columns)))
 
 
 class _Scan(NamedTuple):
     tests: list[ColumnSet]
+    hit: ColumnSet | None
     checked: int
     seed_skips: int
     pair_skips: int
@@ -333,7 +321,7 @@ def _scan_size(
     size: int,
     seeds: set[int],
     pair_masks: list[int],
-    first_only: bool,
+    stop: Callable[[ColumnSet], bool] | None = None,
 ) -> _Scan:
     """Local tests of the given size, in colex order, under pruning.
 
@@ -341,7 +329,9 @@ def _scan_size(
     seed (one of its one-smaller submasks is in seeds) is a proven
     non-test and skipped; every other candidate is checked.  Only the
     paired-column skips may hide tests, and only non-dead-end ones.  The
-    size-L enumeration and the (L-1) refutation sweep both run here.
+    scan ends at the first test for which stop is true and returns it as
+    hit.  The size-L enumeration, the (L-1) refutation sweep and the
+    unpruned rescan for a jump target all run here.
     """
     columns = class_set.columns
     column_bits = [class_set.bit_of[c] for c in columns]
@@ -360,55 +350,52 @@ def _scan_size(
         checked += 1
         if first_collision(class_set, subset, mask) is None:
             found.append(subset)
-            if first_only:
-                break
-    return _Scan(found, checked, seed_skips, pair_skips)
-
-
-def _first_non_deadend_test(
-    class_set: ClassSet, size: int, counters: _Counters
-) -> ColumnSet | None:
-    """First subset in colex order that is a test but not dead-end.
-
-    Scanned without any pruning so that every configuration derives the
-    same downward jump target.
-    """
-    for subset in iter_subsets_colex(class_set.columns, size):
-        counters.sweep_checked += 1
-        if first_collision(class_set, subset) is None:
-            if not local_deadend(class_set, subset).ok:
-                return subset
-    return None
+            if stop is not None and stop(subset):
+                return _Scan(found, subset, checked, seed_skips, pair_skips)
+    return _Scan(found, None, checked, seed_skips, pair_skips)
 
 
 def _search_local(
     class_set: ClassSet, start: int, config: SearchConfig
 ) -> tuple[int, tuple[ColumnSet, ...], SearchStats, tuple[Correction, ...]]:
     """The correction loop.  Returns the exact local length and all local
-    tests of that length (just the colex-first one under first_only)."""
+    tests of that length (just the colex-first one under first_only).
+
+    Every downward correction jumps to the dead-end reduction of one
+    target test: with no paired-column skip at this size, the first
+    non-dead-end test found; otherwise the first non-dead-end test of an
+    unpruned rescan; failing both, the (L-1) sweep's test.  With no target
+    no test of this size exists, and the loop steps up one size.  Every
+    correction is recorded at one site.
+    """
     n_free = len(class_set.columns)
     t_ob = len(class_set.mandatory)
-    counters = _Counters()
-    pair_masks = _pair_skip_masks(class_set, config)
+    # Masks of locally-paired column pairs; candidates covering one are
+    # skipped.  A free column paired with a mandatory column is useless
+    # inside classes (the mandatory column is constant there), which the
+    # per-class pairing already captures, so only view columns appear here.
+    pair_masks = (
+        [class_set.mask(pair) for pair in paired_view_columns(class_set)]
+        if config.pair_prune
+        else []
+    )
+    verdicts: dict[ColumnSet, DeadendCheck] = {}
+
+    def deadend(columns: ColumnSet) -> DeadendCheck:
+        check = verdicts.get(columns)
+        if check is None:
+            check = verdicts[columns] = local_deadend(class_set, columns)
+        return check
+
+    def not_deadend(columns: ColumnSet) -> bool:
+        return not deadend(columns).ok
+
+    candidates = sweep_checked = pruned_by_seeds = pruned_by_pairs = 0
+    cycle_cost: CycleCost | None = None
     corrections: list[Correction] = []
     visited: list[int] = []
     refuted = 0  # no local test of any size <= refuted exists
     length = max(1, min(start, n_free))
-
-    def jump_down(found: list[ColumnSet], pair_skips: int, sweep_cex: ColumnSet | None):
-        """Pick the pruning-independent witness and reduce it."""
-        target: ColumnSet | None = None
-        if pair_skips == 0:
-            for t in found:
-                if not local_deadend(class_set, t).ok:
-                    target = t
-                    break
-        else:
-            target = _first_non_deadend_test(class_set, length, counters)
-        if target is None:
-            target = sweep_cex
-        assert target is not None
-        return local_deadend_reduce(class_set, target)
 
     while True:
         visited.append(length)
@@ -419,89 +406,79 @@ def _search_local(
             length,
             _seeds_for(class_set, length, config.seed_prune),
             pair_masks,
-            config.first_only,
+            (lambda test: True) if config.first_only else None,
         )
-        counters.candidates_checked += scan.checked
-        counters.pruned_by_seeds += scan.seed_skips
-        counters.pruned_by_pairs += scan.pair_skips
-        found, pair_skips = scan.tests, scan.pair_skips
-        if found:
-            all_dead = all(local_deadend(class_set, t).ok for t in found)
-            if all_dead:
-                if length - 1 <= refuted:
-                    break
-                cost = cycle_costs(
-                    k=length - 1, p=2, n=n_free + t_ob, t_ob=t_ob, t0=t_ob + length
-                )
-                counters.cycle_cost = cost
-                use_seeds = config.seed_prune and cost.chosen == "z2"
-                sweep = _scan_size(
-                    class_set,
-                    length - 1,
-                    _seeds_for(class_set, length - 1, use_seeds),
-                    [],
-                    first_only=True,
-                )
-                counters.sweep_checked += sweep.checked
-                if not sweep.tests:
-                    refuted = max(refuted, length - 1)
-                    break
-                reduced = jump_down(found, pair_skips, sweep.tests[0])
-                corrections.append(
-                    Correction(
-                        old_length=t_ob + length,
-                        new_length=t_ob + len(reduced),
-                        reason="a shorter test exists below the accepted size",
-                    )
-                )
-                length = len(reduced)
-            else:
-                reduced = jump_down(found, pair_skips, None)
-                corrections.append(
-                    Correction(
-                        old_length=t_ob + length,
-                        new_length=t_ob + len(reduced),
-                        reason="found test was not dead-end",
-                    )
-                )
-                length = len(reduced)
-        else:
-            if pair_skips:
-                target = _first_non_deadend_test(class_set, length, counters)
-                if target is not None:
-                    reduced = local_deadend_reduce(class_set, target)
-                    corrections.append(
-                        Correction(
-                            old_length=t_ob + length,
-                            new_length=t_ob + len(reduced),
-                            reason="skipped subset hid a non-dead-end test",
-                        )
-                    )
-                    length = len(reduced)
-                    continue
-            refuted = max(refuted, length)
-            corrections.append(
-                Correction(
-                    old_length=t_ob + length,
-                    new_length=t_ob + length + 1,
-                    reason="no test of this length exists",
-                )
+        candidates += scan.checked
+        pruned_by_seeds += scan.seed_skips
+        pruned_by_pairs += scan.pair_skips
+        found = scan.tests
+        target = next(filter(not_deadend, found), None)  # first non-dead-end
+        if found and target is None:
+            if length - 1 <= refuted:
+                break
+            cycle_cost = cycle_costs(
+                k=length - 1, p=2, n=n_free + t_ob, t_ob=t_ob, t0=t_ob + length
             )
-            length += 1
-            if length > n_free:
+            use_seeds = config.seed_prune and cycle_cost.chosen == "z2"
+            sweep = _scan_size(
+                class_set,
+                length - 1,
+                _seeds_for(class_set, length - 1, use_seeds),
+                [],
+                lambda test: True,
+            )
+            sweep_checked += sweep.checked
+            if sweep.hit is None:
+                refuted = max(refuted, length - 1)
+                break
+            reason = "a shorter test exists below the accepted size"
+            target = sweep.hit
+        elif found:
+            reason = "found test was not dead-end"
+        else:
+            reason = "skipped subset hid a non-dead-end test"
+        # A paired-column skip may hide an earlier non-dead-end test.
+        if scan.pair_skips:
+            rescan = _scan_size(class_set, length, set(), [], not_deadend)
+            sweep_checked += rescan.checked
+            if rescan.hit is not None:
+                target = rescan.hit
+        if target is None:
+            assert not found, "a found test always yields a jump target"
+            refuted = max(refuted, length)
+            reason, new_length = "no test of this length exists", length + 1
+            if new_length > n_free:
                 raise RuntimeError("no local test up to the full column set")
+        else:
+            new_length = len(_reduce(deadend, target))
+        corrections.append(Correction(t_ob + length, t_ob + new_length, reason))
+        length = new_length
 
     stats = SearchStats(
         class_count=len(class_set.classes),
         free_columns=n_free,
-        candidates_checked=counters.candidates_checked,
-        sweep_checked=counters.sweep_checked,
-        pruned_by_seeds=counters.pruned_by_seeds,
-        pruned_by_pairs=counters.pruned_by_pairs,
+        candidates_checked=candidates,
+        sweep_checked=sweep_checked,
+        pruned_by_seeds=pruned_by_seeds,
+        pruned_by_pairs=pruned_by_pairs,
         lengths_visited=tuple(visited),
-        cycle_cost=counters.cycle_cost,
+        cycle_cost=cycle_cost,
     )
     return length, tuple(sorted(found)), stats, tuple(corrections)
+
+
+def _start_length(
+    class_set: ClassSet, config: SearchConfig
+) -> tuple[int, HeuristicEstimate | None]:
+    """Starting local size and the estimate behind it: the configured
+    initial length, else the heuristic over the two largest classes,
+    else 1."""
+    if config.initial_length is not None:
+        return config.initial_length, None
+    if config.use_heuristic:
+        estimate = estimate_length(union_pair_stats(class_set))
+        return estimate.t0, estimate
+    return 1, None
 
 
 def enumerate_local_minimal_tests(
@@ -510,13 +487,7 @@ def enumerate_local_minimal_tests(
     """Minimal local tests of a class set (no parent matrix required)."""
     if not class_set.classes:
         raise ValueError("class set has no multi-row classes to separate")
-    estimate: HeuristicEstimate | None = None
-    start = 1
-    if config.initial_length is not None:
-        start = config.initial_length
-    elif config.use_heuristic:
-        estimate = estimate_length(union_pair_stats(class_set, config.union_classes))
-        start = estimate.t0
+    start, estimate = _start_length(class_set, config)
     length, tests, stats, corrections = _search_local(class_set, start, config)
     mand = class_set.mandatory
     integral = tuple(tuple(sorted(mand + t)) for t in tests)
@@ -574,16 +545,7 @@ def enumerate_minimal_tests(
         )
 
     class_set = class_views(sorted_matrix, partition)
-    local_estimate: HeuristicEstimate | None = None
-    start = 1
-    if config.initial_length is not None:
-        start = config.initial_length
-    elif config.use_heuristic:
-        local_estimate = estimate_length(
-            union_pair_stats(class_set, config.union_classes)
-        )
-        start = local_estimate.t0
-
+    start, local_estimate = _start_length(class_set, config)
     length, local_tests, stats, corrections = _search_local(class_set, start, config)
     integral = tuple(
         tuple(sorted(mandatory.columns + t)) for t in local_tests

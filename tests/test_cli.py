@@ -41,6 +41,22 @@ class TestAnalyze:
         assert "M1 [101101] rows: 33 55" in out
         assert "pairs left inside classes: 8" in out
 
+    def test_class_set_seeds(self, capsys, tmp_path):
+        path = tmp_path / "classes.txt"
+        path.write_text(
+            "columns: 1 2 3 4\n"
+            "class 0\n1: 0000\n2: 0001\n3: 0010\n4: 0111\n"
+            "class 1\n5: 1000\n6: 1100\n"
+        )
+        code, out, _ = run(capsys, "analyze", "--input", str(path), "--seeds", "--json")
+        assert code == 0
+        assert json.loads(out)["seeds"] == [
+            {"columns": [1, 2], "class": "M1", "rows": [1, 2, 3]}
+        ]
+        code, out, _ = run(capsys, "analyze", "--input", str(path), "--seeds")
+        assert code == 0
+        assert out.endswith("multiplicity seeds (k=2, p>=3):\n  (1,2) -> M1: (1,2,3)\n")
+
     def test_missing_file_exit_1(self, capsys):
         code, _, err = run(capsys, "analyze", "--input", "/nope/missing.txt")
         assert code == 1

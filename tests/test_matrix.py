@@ -9,7 +9,6 @@ from mintest import (
     is_test,
     pair_count,
     parse_matrix,
-    project,
     row_popcounts,
     sort_rows_by_binary_value,
 )
@@ -199,20 +198,7 @@ class TestIsTest:
         assert is_test(m, cols) == covers
 
 
-class TestProject:
-    def test_identity(self, q25):
-        view = project(q25, range(1, 11))
-        assert view.columns == tuple(range(1, 11))
-        assert view.rows == q25.rows
-        assert view.row_labels == q25.row_labels
-
-    def test_mandatory_projection_collisions(self, q25):
-        view = project(q25, (5, 8, 10))
-        values = dict(zip(view.row_labels, view.rows))
-        assert values[11] == values[15] == values[18] == 0b000
-        assert values[22] == 0b011
-        assert sum(1 for v in view.rows if v == 0b011) == 1
-
+class TestPairCount:
     def test_pair_count_helper(self):
         assert pair_count(25) == 300
         assert pair_count(2) == 1

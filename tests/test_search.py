@@ -1,9 +1,12 @@
 import json
+from collections import Counter
 
 import pytest
 
 from conftest import Q25_MINIMAL_TESTS, random_matrix
+from test_search_pins import PINS, TOGGLES
 
+import mintest.search
 from mintest import (
     SearchCeilingError,
     SearchConfig,
@@ -193,6 +196,32 @@ class TestCorrections:
                 assert (
                     oracle_minimal_tests(m).minimal_tests == report.minimal_tests
                 )
+
+
+class TestDeadendChecksOnce:
+    @pytest.mark.parametrize("case", list(PINS), ids=str)
+    def test_no_columns_checked_twice(self, case, monkeypatch):
+        seed, rows, cols, density, initial_length, first_only = case
+        matrix = random_matrix(seed, rows=rows, cols=cols, density=density)
+        real = mintest.search.local_deadend
+        calls = Counter()
+
+        def counting(class_set, columns):
+            calls[tuple(columns)] += 1
+            return real(class_set, columns)
+
+        monkeypatch.setattr(mintest.search, "local_deadend", counting)
+        for seed_prune, pair_prune in TOGGLES:
+            calls.clear()
+            config = SearchConfig(
+                seed_prune=seed_prune,
+                pair_prune=pair_prune,
+                initial_length=initial_length,
+                first_only=first_only,
+            )
+            enumerate_minimal_tests(matrix, config)
+            repeated = {c: n for c, n in calls.items() if n > 1}
+            assert not repeated, (seed_prune, pair_prune, repeated)
 
 
 class TestLocalEnumeration:
