@@ -131,6 +131,50 @@ class ClassSet:
         """The classes by descending size, ties kept in class order."""
         return tuple(sorted(self.classes, key=lambda c: -c.size))
 
+    @cached_property
+    def difference_masks(self) -> tuple[int, ...]:
+        """The inclusion-minimal row differences a ^ b inside the classes.
+
+        Two rows of one class collide on a column set exactly when its
+        mask misses their difference, and every difference contains a
+        minimal one, so a column set is a local test iff its mask meets
+        every mask here.  Masks are ordered fewest bits first, ties by
+        value, which lets the build compare each difference only with
+        the smaller masks already kept.  They are nonzero unless two rows
+        of a class project identically onto the view (then the only mask
+        is 0 and nothing is a test).  The build costs O(sum of C(p,2))
+        XORs over classes of p rows, and its temporary set holds at most
+        min(sum of C(p,2), 2^width) values.
+        """
+        diffs: set[int] = set()
+        for view in self.classes:
+            rows = view.rows
+            for i, row in enumerate(rows):
+                diffs.update(map(row.__xor__, rows[i + 1 :]))
+        minimal: list[int] = []
+        kept: set[int] = set()
+        for diff in sorted(sorted(diffs), key=int.bit_count):
+            # diff & m is a kept mask iff some kept mask lies inside diff
+            if kept.isdisjoint(map(diff.__and__, minimal)):
+                minimal.append(diff)
+                kept.add(diff)
+        return tuple(minimal)
+
+    @cached_property
+    def column_hits(self) -> dict[int, int]:
+        """Original column label -> the difference masks it meets, as a
+        bit set over their positions (bit i for difference_masks[i]).
+
+        A column set is a local test iff its columns' bit sets together
+        cover every position: k ORs of ints with one bit per mask, in
+        place of a pass over the masks or the rows.
+        """
+        masks = self.difference_masks
+        return {
+            c: sum(1 << i for i, m in enumerate(masks) if m & bit)
+            for c, bit in self.bit_of.items()
+        }
+
     def mask(self, columns: Iterable[int]) -> int:
         """Bit mask of view positions for a set of original column labels."""
         bits = self.bit_of

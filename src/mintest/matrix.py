@@ -150,6 +150,7 @@ def parse_matrix(text: str) -> BooleanMatrix:
     columns are legal input and only trigger a DuplicateColumnWarning.
     """
     rows: list[int] = []
+    lines: list[str] = []
     seen_at: dict[int, int] = {}
     width: int | None = None
     first_line = 0
@@ -176,6 +177,7 @@ def parse_matrix(text: str) -> BooleanMatrix:
                 f"duplicate rows at lines {seen_at[value]} and {lineno}: {line}"
             )
         rows.append(value)
+        lines.append(line)
         seen_at[value] = lineno
     if width is None:
         raise MatrixFormatError("no matrix rows found")
@@ -184,7 +186,7 @@ def parse_matrix(text: str) -> BooleanMatrix:
         rows=tuple(rows),
         row_labels=tuple(range(1, len(rows) + 1)),
     )
-    _warn_duplicate_columns(matrix)
+    _warn_duplicate_columns(lines)
     return matrix
 
 
@@ -194,10 +196,10 @@ def load_matrix(path) -> BooleanMatrix:
         return parse_matrix(fh.read())
 
 
-def _warn_duplicate_columns(matrix: BooleanMatrix) -> None:
-    seen: dict[int, int] = {}
-    for c in range(1, matrix.col_count + 1):
-        v = matrix.column_bits(c)
+def _warn_duplicate_columns(lines: Sequence[str]) -> None:
+    """Warn once per column equal to an earlier one, keyed in one pass."""
+    seen: dict[tuple[str, ...], int] = {}
+    for c, v in enumerate(zip(*lines), start=1):
         if v in seen:
             warnings.warn(
                 f"columns {seen[v]} and {c} are identical",

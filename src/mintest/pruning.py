@@ -4,7 +4,12 @@ Three independent facts shrink the search, all phrased over a ClassSet:
 
 * Identical projections.  A column set that projects two rows of one class
   onto the same value is not a local test; the colliding pair is a
-  reusable refutation witness.
+  reusable refutation witness.  Two rows collide exactly when the set
+  misses their difference a ^ b, and every difference contains an
+  inclusion-minimal one, so a set is a local test iff it meets each of
+  the class set's few minimal differences (ClassSet.difference_masks).
+  With each column's hits kept as a bit set over those masks
+  (ClassSet.column_hits), that is k ORs per set, with no rows indexed.
 
 * Multiplicity seeds.  If k columns project p >= 3 rows of one class onto
   a single value, no single extra column can finish separating them: a
@@ -30,8 +35,10 @@ directly against scanning (t-2)-subsets for multiplicity seeds first.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
-from math import comb, factorial, inf
+from math import comb, inf
+from operator import or_
 from typing import Iterable, Iterator, Sequence
 
 from .matrix import BooleanMatrix, ColumnSet, RowPair
@@ -136,8 +143,12 @@ def first_collision(
 
 
 def is_local_test(class_set: ClassSet, columns: Iterable[int]) -> bool:
-    """True iff the columns separate the rows inside every class."""
-    return first_collision(class_set, columns) is None
+    """True iff the columns separate the rows inside every class, that is
+    iff together they meet every minimal within-class row difference."""
+    cols = tuple(columns)
+    class_set.mask(cols)  # rejects a column outside the view
+    covered = reduce(or_, map(class_set.column_hits.__getitem__, cols), 0)
+    return covered == (1 << len(class_set.difference_masks)) - 1
 
 
 def seed_masks(class_set: ClassSet, k: int, p_min: int = 3) -> set[int]:
@@ -384,18 +395,5 @@ def cycle_costs(k: int, p: int, n: int, t_ob: int, t0: int) -> CycleCost:
         if size < 0:
             return inf
         return k * p * comb(free, size)
-
-    return CycleCost(z1=cost(t0 - t_ob - 1), z2=cost(t0 - t_ob - 2))
-
-
-def cycle_cost_factorial_form(k: int, p: int, n: int, t_ob: int, t0: int) -> CycleCost:
-    """The same two costs via factorials; equals cycle_costs wherever both
-    are defined (kept for cross-checking the reduction to binomials)."""
-    free = n - t_ob
-
-    def cost(size: int) -> float:
-        if size < 0 or free - size < 0:
-            return inf
-        return k * p * factorial(free) / (factorial(size) * factorial(free - size))
 
     return CycleCost(z1=cost(t0 - t_ob - 1), z2=cost(t0 - t_ob - 2))

@@ -22,13 +22,21 @@ column can be tests, but only non-dead-end ones, and whenever such a skip
 happened the jump target comes from the unpruned rescan, so every pruning
 configuration walks the same sequence of sizes and reports identical
 results.  Each dead-end verdict is computed once per search.
+
+Every local decision reads off the class set's minimal within-class row
+differences (ClassSet.difference_masks): a subset is a local test iff its
+columns' hit sets (ClassSet.column_hits) cover every mask, and a column
+of a test is redundant iff no mask meets the test in that column alone.
+No rows are indexed during the scan or the correction loop; is_deadend
+on the full matrix still finds the witness pairs of every reported test.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
-from functools import partial
+from functools import partial, reduce
+from operator import or_
 from typing import Callable, Iterable, NamedTuple
 
 from .heuristic import (
@@ -58,7 +66,6 @@ from .oracle import OracleCeilingError, oracle_minimal_tests
 from .pruning import (
     CycleCost,
     cycle_costs,
-    first_collision,
     iter_subsets_colex,
     paired_view_columns,
     seed_masks,
@@ -303,6 +310,22 @@ def local_deadend_reduce(class_set: ClassSet, columns: ColumnSet) -> ColumnSet:
     return _reduce(partial(local_deadend, class_set), tuple(sorted(columns)))
 
 
+def _local_verdict(class_set: ClassSet, columns: ColumnSet) -> DeadendCheck:
+    """local_deadend's ok and redundant column, without witnesses.
+
+    Column c separates a pair alone iff the pair's difference meets the
+    test in c only.  A minimal difference inside it meets the test in a
+    nonempty part of that, so c separates some pair alone iff c's bit is
+    one of the test's intersections with the minimal differences.  The
+    columns must already be a local test.
+    """
+    mask = class_set.mask(columns)
+    private = set(map(mask.__and__, class_set.difference_masks))
+    bit_of = class_set.bit_of
+    redundant = max((c for c in columns if bit_of[c] not in private), default=None)
+    return DeadendCheck(ok=redundant is None, witnesses=(), redundant=redundant)
+
+
 class _Scan(NamedTuple):
     tests: list[ColumnSet]
     hit: ColumnSet | None
@@ -335,6 +358,8 @@ def _scan_size(
     """
     columns = class_set.columns
     column_bits = [class_set.bit_of[c] for c in columns]
+    hits = class_set.column_hits
+    every_mask = (1 << len(class_set.difference_masks)) - 1
     found: list[ColumnSet] = []
     checked = seed_skips = pair_skips = 0
     for subset, bits in zip(
@@ -348,7 +373,7 @@ def _scan_size(
             seed_skips += 1
             continue
         checked += 1
-        if first_collision(class_set, subset, mask) is None:
+        if reduce(or_, map(hits.__getitem__, subset), 0) == every_mask:
             found.append(subset)
             if stop is not None and stop(subset):
                 return _Scan(found, subset, checked, seed_skips, pair_skips)
@@ -384,7 +409,7 @@ def _search_local(
     def deadend(columns: ColumnSet) -> DeadendCheck:
         check = verdicts.get(columns)
         if check is None:
-            check = verdicts[columns] = local_deadend(class_set, columns)
+            check = verdicts[columns] = _local_verdict(class_set, columns)
         return check
 
     def not_deadend(columns: ColumnSet) -> bool:
@@ -481,12 +506,22 @@ def _start_length(
     return 1, None
 
 
+def _check_ceiling(columns: int, config: SearchConfig) -> None:
+    """Refuse a heuristic-free search over more columns than the ceiling."""
+    if not config.use_heuristic and columns > config.no_heuristic_ceiling:
+        raise SearchCeilingError(
+            f"{columns} columns exceed the ceiling of "
+            f"{config.no_heuristic_ceiling} for heuristic-free search"
+        )
+
+
 def enumerate_local_minimal_tests(
     class_set: ClassSet, config: SearchConfig = SearchConfig()
 ) -> LocalReport:
     """Minimal local tests of a class set (no parent matrix required)."""
     if not class_set.classes:
         raise ValueError("class set has no multi-row classes to separate")
+    _check_ceiling(len(class_set.columns), config)
     start, estimate = _start_length(class_set, config)
     length, tests, stats, corrections = _search_local(class_set, start, config)
     mand = class_set.mandatory
@@ -516,11 +551,7 @@ def enumerate_minimal_tests(
     """
     if matrix.row_count < 2:
         raise ValueError("minimal tests need at least two rows")
-    if not config.use_heuristic and matrix.col_count > config.no_heuristic_ceiling:
-        raise SearchCeilingError(
-            f"{matrix.col_count} columns exceed the ceiling of "
-            f"{config.no_heuristic_ceiling} for heuristic-free search"
-        )
+    _check_ceiling(matrix.col_count, config)
     sorted_matrix = sort_rows_by_binary_value(matrix)
     mandatory = find_mandatory(sorted_matrix)
     partition = partition_by_mandatory(sorted_matrix, mandatory.columns)

@@ -123,6 +123,20 @@ class TestEnumerate:
         assert "integral length: 6 + 2 = 8" in out
         assert "integral test: 1,2,3,4,5,6,7,10" in out
 
+    def test_class_set_no_heuristic_ceiling_exit_3(self, capsys, tmp_path):
+        # 3 rows over 24 columns: above the default ceiling of 22
+        path = tmp_path / "wide.txt"
+        path.write_text(
+            "columns: " + " ".join(str(c) for c in range(1, 25)) + "\n"
+            "class 0\n1: " + "0" * 24 + "\n2: " + "1" * 24 + "\n"
+            "3: " + "01" * 12 + "\n"
+        )
+        code, _, err = run(capsys, "enumerate", "--input", str(path), "--no-heuristic")
+        assert code == 3
+        assert "24 columns exceed the ceiling of 22" in err
+        code, out, _ = run(capsys, "enumerate", "--input", str(path))
+        assert code == 0
+
 
 class TestVerify:
     def test_minimal(self, capsys):

@@ -60,6 +60,16 @@ class TestParsing:
             m = parse_matrix("00\n11\n")
         assert m.row_count == 2
 
+    def test_duplicate_column_warning_texts(self):
+        # columns 1, 3 and 5 are identical, column 4 is their complement
+        with pytest.warns(DuplicateColumnWarning) as record:
+            parse_matrix("00010\n10101\n01010\n # comment\n11101\n")
+        assert [str(w.message) for w in record] == [
+            "columns 1 and 3 are identical",
+            "columns 1 and 5 are identical",
+        ]
+        assert all(w.filename == __file__ for w in record)
+
     def test_fixture_loads(self, q25):
         assert (q25.row_count, q25.col_count) == (25, 10)
         assert q25.row_labels == tuple(range(1, 26))

@@ -2,7 +2,6 @@ import math
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from conftest import random_matrix
 
@@ -25,7 +24,6 @@ from mintest import (
     seed_masks,
     sort_rows_by_binary_value,
 )
-from mintest.pruning import cycle_cost_factorial_form
 
 KNOWN_SEED_TRIPLES = {
     (1, 2): (10, 14, 25),
@@ -354,22 +352,3 @@ class TestCycleCosts:
             cycle_costs(k=-1, p=2, n=10, t_ob=3, t0=7)
         with pytest.raises(ValueError):
             cycle_costs(k=1, p=2, n=2, t_ob=3, t0=7)
-
-    @settings(max_examples=120, deadline=None)
-    @given(
-        st.integers(1, 4),
-        st.integers(1, 4),
-        st.integers(1, 20),
-        st.data(),
-    )
-    def test_factorial_form_agrees(self, k, p, n, data):
-        t_ob = data.draw(st.integers(0, n))
-        t0 = data.draw(st.integers(t_ob, n))
-        a = cycle_costs(k, p, n, t_ob, t0)
-        b = cycle_cost_factorial_form(k, p, n, t_ob, t0)
-        for x, y in ((a.z1, b.z1), (a.z2, b.z2)):
-            if math.isinf(x) or math.isinf(y):
-                # the binomial form is defined for oversized subsets (comb=0),
-                # the factorial form is not; both agree wherever both exist
-                continue
-            assert x == pytest.approx(y)

@@ -151,6 +151,16 @@ class TestEnumerate:
                 m, SearchConfig(use_heuristic=False, no_heuristic_ceiling=7)
             )
 
+    def test_class_set_ceiling_without_heuristic(self, m8):
+        with pytest.raises(SearchCeilingError, match="4 columns exceed"):
+            enumerate_local_minimal_tests(
+                m8, SearchConfig(use_heuristic=False, no_heuristic_ceiling=3)
+            )
+        report = enumerate_local_minimal_tests(
+            m8, SearchConfig(use_heuristic=False, no_heuristic_ceiling=4)
+        )
+        assert report.local_length == 2
+
     @pytest.mark.parametrize("seed_prune", [True, False])
     @pytest.mark.parametrize("pair_prune", [True, False])
     def test_pruning_toggles_equivalent(self, q25, seed_prune, pair_prune):
@@ -203,14 +213,14 @@ class TestDeadendChecksOnce:
     def test_no_columns_checked_twice(self, case, monkeypatch):
         seed, rows, cols, density, initial_length, first_only = case
         matrix = random_matrix(seed, rows=rows, cols=cols, density=density)
-        real = mintest.search.local_deadend
+        real = mintest.search._local_verdict
         calls = Counter()
 
         def counting(class_set, columns):
             calls[tuple(columns)] += 1
             return real(class_set, columns)
 
-        monkeypatch.setattr(mintest.search, "local_deadend", counting)
+        monkeypatch.setattr(mintest.search, "_local_verdict", counting)
         for seed_prune, pair_prune in TOGGLES:
             calls.clear()
             config = SearchConfig(
