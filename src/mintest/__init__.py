@@ -49,7 +49,6 @@ from .pruning import (
     all_k_subsets_fail,
     bijective_column_pairs,
     cycle_costs,
-    identical_projection_groups,
     is_local_test,
     iter_subsets_colex,
     multiplicity_seeds,
@@ -70,8 +69,6 @@ from .search import (
     enumerate_local_minimal_tests,
     enumerate_minimal_tests,
     is_deadend,
-    local_deadend,
-    local_deadend_reduce,
     verify_test,
 )
 from .oracle import OracleCeilingError, OracleResult, oracle_deadend_tests, oracle_minimal_tests

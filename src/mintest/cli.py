@@ -119,6 +119,8 @@ def _seed_lines(cs: ClassSet, k: int) -> list[str]:
 
 
 def _cmd_analyze(args) -> int:
+    if args.seed_size < 0:
+        raise MatrixFormatError(f"--seed-size must be >= 0, got {args.seed_size}")
     data = _load_any(args.input)
     if isinstance(data, ClassSet):
         return _analyze_class_set(args, data)

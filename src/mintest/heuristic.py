@@ -82,24 +82,19 @@ def column_pair_stats(matrix: BooleanMatrix) -> ColumnPairStats:
     )
 
 
-def union_pair_stats(
-    class_set: ClassSet, names: Sequence[str] | None = None
-) -> ColumnPairStats:
-    """Pair-separation counts over the union of selected classes.
+def union_pair_stats(class_set: ClassSet) -> ColumnPairStats:
+    """Pair-separation counts over the union of the two largest classes.
 
-    All pairs of the union count, cross-class ones included.  With no
-    names given the two largest classes are used (ties broken by class
-    order), which keeps the local estimate cheap while staying
+    All pairs of the union count, cross-class ones included.  Ties in
+    size are broken by class order, and the two classes keep their class
+    order; the union keeps the local estimate cheap while staying
     representative.
     """
-    if names is None:
-        ranked = sorted(
-            range(len(class_set.classes)),
-            key=lambda i: (-class_set.classes[i].size, i),
-        )
-        chosen = [class_set.classes[i] for i in sorted(ranked[:2])]
-    else:
-        chosen = list(class_set.union_rows(names))
+    ranked = sorted(
+        range(len(class_set.classes)),
+        key=lambda i: (-class_set.classes[i].size, i),
+    )
+    chosen = [class_set.classes[i] for i in sorted(ranked[:2])]
     rows = [r for cls in chosen for r in cls.rows]
     if len(rows) < 2:
         raise ValueError("class union needs at least two rows")

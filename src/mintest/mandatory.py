@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .matrix import (
     BooleanMatrix,
@@ -194,13 +194,6 @@ class ClassSet:
     def parent_pair_total(self) -> int | None:
         return pair_count(self.total_rows) if self.total_rows else None
 
-    def union_rows(self, names: Sequence[str]) -> tuple[ClassView, ...]:
-        by_name = {c.name: c for c in self.classes}
-        missing = [n for n in names if n not in by_name]
-        if missing:
-            raise ValueError(f"unknown class name(s): {', '.join(missing)}")
-        return tuple(by_name[n] for n in names)
-
 
 def candidate_pairs(matrix: BooleanMatrix) -> tuple[RowPair, ...]:
     """All unordered row pairs whose popcounts differ by exactly one.
@@ -348,10 +341,13 @@ def parse_class_set(text: str) -> ClassSet:
     ``columns`` gives the original 1-based labels of the view columns;
     each row line is ``<label>: <bits>`` over those columns.  ``mandatory``
     and ``parent-rows`` are optional context about the parent matrix.
-    Class names are M1, M2, ... in file order.
+    Labels in ``columns`` and ``mandatory`` are distinct positive integers,
+    and no mandatory label is also a view column.  Class names are M1,
+    M2, ... in file order.
     """
     columns: ColumnSet | None = None
     mandatory: ColumnSet = ()
+    mandatory_line = 0
     total_rows: int | None = None
     classes: list[ClassView] = []
     current_key: tuple[int, ...] | None = None
@@ -385,9 +381,9 @@ def parse_class_set(text: str) -> ClassSet:
         if not line or line.startswith("#"):
             continue
         if line.startswith("columns:"):
-            columns = tuple(int(t) for t in line.split(":", 1)[1].split())
+            columns = _header_labels(lineno, line)
         elif line.startswith("mandatory:"):
-            mandatory = tuple(int(t) for t in line.split(":", 1)[1].split())
+            mandatory, mandatory_line = _header_labels(lineno, line), lineno
         elif line.startswith("parent-rows:"):
             total_rows = int(line.split(":", 1)[1])
         elif line.startswith("class"):
@@ -417,12 +413,39 @@ def parse_class_set(text: str) -> ClassSet:
     flush()
     if columns is None or not classes:
         raise MatrixFormatError("class-set file needs a 'columns:' header and classes")
+    shared = sorted(set(mandatory) & set(columns))
+    if shared:
+        raise MatrixFormatError(
+            f"line {mandatory_line}: 'mandatory:' label(s) "
+            f"{' '.join(map(str, shared))} are also in 'columns:'"
+        )
     return ClassSet(
         columns=columns,
         classes=tuple(classes),
         mandatory=tuple(sorted(mandatory)),
         total_rows=total_rows,
     )
+
+
+def _header_labels(lineno: int, line: str) -> ColumnSet:
+    """The labels of a 'columns:' or 'mandatory:' header line, which must
+    be distinct positive integers."""
+    name, text = line.split(":", 1)
+    try:
+        labels = tuple(int(t) for t in text.split())
+    except ValueError:
+        raise MatrixFormatError(f"line {lineno}: '{name}:' labels must be integers") from None
+    bad = [c for c in labels if c < 1]
+    if bad:
+        raise MatrixFormatError(
+            f"line {lineno}: '{name}:' labels must be positive, got {bad[0]}"
+        )
+    repeated = sorted(c for c, n in Counter(labels).items() if n > 1)
+    if repeated:
+        raise MatrixFormatError(
+            f"line {lineno}: '{name}:' repeats label(s) {' '.join(map(str, repeated))}"
+        )
+    return labels
 
 
 def load_class_set(path) -> ClassSet:

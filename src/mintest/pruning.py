@@ -3,13 +3,14 @@
 Three independent facts shrink the search, all phrased over a ClassSet:
 
 * Identical projections.  A column set that projects two rows of one class
-  onto the same value is not a local test; the colliding pair is a
-  reusable refutation witness.  Two rows collide exactly when the set
-  misses their difference a ^ b, and every difference contains an
+  onto the same value is not a local test.  Two rows collide exactly when
+  the set misses their difference a ^ b, and every difference contains an
   inclusion-minimal one, so a set is a local test iff it meets each of
   the class set's few minimal differences (ClassSet.difference_masks).
   With each column's hits kept as a bit set over those masks
   (ClassSet.column_hits), that is k ORs per set, with no rows indexed.
+  Where a refutation must name its colliding pair (all_k_subsets_fail),
+  first_collision finds it by scanning rows.
 
 * Multiplicity seeds.  If k columns project p >= 3 rows of one class onto
   a single value, no single extra column can finish separating them: a
@@ -22,7 +23,7 @@ Three independent facts shrink the search, all phrased over a ClassSet:
   the row blocks of >= 3 rows that agree on the columns chosen so far, and
   stops descending once no such block is left.  A (k+1)-subset contains a
   seed iff one of its k one-smaller submasks is in the seed set, an O(k)
-  set probe.
+  set probe, made by the search's own scans (search._scan_size).
 
 * Paired columns.  Two columns that are equal or complementary separate
   exactly the same row pairs, so one of them is redundant in any test that
@@ -42,7 +43,7 @@ from operator import or_
 from typing import Iterable, Iterator, Sequence
 
 from .matrix import BooleanMatrix, ColumnSet, RowPair
-from .mandatory import ClassSet, ClassView
+from .mandatory import ClassSet
 
 
 @dataclass(frozen=True)
@@ -66,7 +67,6 @@ class SweepResult:
     witnesses: dict[ColumnSet, tuple[str, RowPair]]
     counterexample: ColumnSet | None
     checked: int
-    skipped_by_seed: int
 
 
 @dataclass(frozen=True)
@@ -93,36 +93,8 @@ def iter_subsets_colex(items: Sequence[int], k: int) -> Iterator[ColumnSet]:
             yield rest + (items[last],)
 
 
-def _class_groups(view: ClassView, mask: int) -> dict[int, list[int]]:
-    groups: dict[int, list[int]] = {}
-    for lab, row in zip(view.row_labels, view.rows):
-        groups.setdefault(row & mask, []).append(lab)
-    return groups
-
-
-def identical_projection_groups(
-    class_set: ClassSet, columns: Iterable[int]
-) -> tuple[IdenticalProjectionGroup, ...]:
-    """All >= 2-row identical-projection groups, per class, for a column set.
-
-    An empty result is exactly the local-test property for the set.
-    """
-    cols = tuple(sorted(columns))
-    mask = class_set.mask(cols)
-    out = []
-    for view in class_set.classes:
-        for _, labs in sorted(_class_groups(view, mask).items()):
-            if len(labs) >= 2:
-                out.append(
-                    IdenticalProjectionGroup(
-                        columns=cols, class_name=view.name, rows=tuple(labs)
-                    )
-                )
-    return tuple(out)
-
-
 def first_collision(
-    class_set: ClassSet, columns: Iterable[int], mask: int | None = None
+    class_set: ClassSet, columns: Iterable[int]
 ) -> tuple[str, RowPair] | None:
     """First identical-projection pair, scanning largest classes first.
 
@@ -130,8 +102,7 @@ def first_collision(
     classes are scanned first because they reject non-tests fastest; the
     result is still deterministic for a fixed class set.
     """
-    if mask is None:
-        mask = class_set.mask(columns)
+    mask = class_set.mask(columns)
     for view in class_set.classes_largest_first:
         seen: dict[int, int] = {}
         for lab, row in zip(view.row_labels, view.rows):
@@ -151,19 +122,16 @@ def is_local_test(class_set: ClassSet, columns: Iterable[int]) -> bool:
     return covered == (1 << len(class_set.difference_masks)) - 1
 
 
-def seed_masks(class_set: ClassSet, k: int, p_min: int = 3) -> set[int]:
-    """View masks of the k-subsets that project >= p_min rows of some
-    class onto one value (the multiplicity seeds of size k).
+def seed_masks(class_set: ClassSet, k: int) -> set[int]:
+    """View masks of the k-subsets that project >= 3 rows of some class
+    onto one value (the multiplicity seeds of size k).
 
     Rows are handled as bit sets over a global row index: a block is the
     set of rows of one class that agree on the columns chosen so far, and
     adding a column splits every block in two with one AND.  The search
-    walks the columns in view order and carries only blocks of >= p_min
-    rows, so a subset none of whose extensions can be a seed is never
-    expanded.
+    walks the columns in view order and carries only blocks of >= 3 rows,
+    so a subset none of whose extensions can be a seed is never expanded.
     """
-    if p_min < 3:
-        raise ValueError("multiplicity seeds need p_min >= 3")
     width = len(class_set.columns)
     found: set[int] = set()
     if not 0 <= k <= width:
@@ -172,7 +140,7 @@ def seed_masks(class_set: ClassSet, k: int, p_min: int = 3) -> set[int]:
     column_rows = [0] * width  # per view position: the global rows holding a 1
     index = 0
     for view in class_set.classes:
-        if view.size < p_min:
+        if view.size < 3:
             continue
         blocks.append(((1 << view.size) - 1) << index)
         for row in view.rows:
@@ -183,7 +151,7 @@ def seed_masks(class_set: ClassSet, k: int, p_min: int = 3) -> set[int]:
     if blocks and k == 0:
         found.add(0)
     elif blocks:
-        _refine_seeds(blocks, column_rows, 0, 0, k, p_min, found)
+        _refine_seeds(blocks, column_rows, 0, 0, k, found)
     return found
 
 
@@ -193,7 +161,6 @@ def _refine_seeds(
     mask: int,
     start: int,
     need: int,
-    p_min: int,
     found: set[int],
 ) -> None:
     """Add to found every seed mask extending mask by need >= 1 more
@@ -205,26 +172,26 @@ def _refine_seeds(
         if need == 1:
             for block in blocks:
                 ones = (block & rows).bit_count()
-                if ones >= p_min or block.bit_count() - ones >= p_min:
+                if ones >= 3 or block.bit_count() - ones >= 3:
                     found.add(mask | bit)
                     break
             continue
         split: list[int] = []
         for block in blocks:
             ones = block & rows
-            if ones.bit_count() >= p_min:
+            if ones.bit_count() >= 3:
                 split.append(ones)
             zeros = block ^ ones
-            if zeros.bit_count() >= p_min:
+            if zeros.bit_count() >= 3:
                 split.append(zeros)
         if split:
-            _refine_seeds(split, column_rows, mask | bit, pos + 1, need - 1, p_min, found)
+            _refine_seeds(split, column_rows, mask | bit, pos + 1, need - 1, found)
 
 
 def multiplicity_seeds(
-    class_set: ClassSet, k: int, p_min: int = 3
+    class_set: ClassSet, k: int
 ) -> tuple[IdenticalProjectionGroup, ...]:
-    """All k-subsets projecting >= p_min rows of some class onto one value.
+    """All k-subsets projecting >= 3 rows of some class onto one value.
 
     Each qualifying (subset, class) is reported once with the class's
     largest group (ties broken by smallest row labels), in colex subset
@@ -232,7 +199,7 @@ def multiplicity_seeds(
     non-test, so seeds of size k prune the size-(k+1) search.  Rows are
     grouped only for the subsets seed_masks reports.
     """
-    masks = seed_masks(class_set, k, p_min)
+    masks = seed_masks(class_set, k)
     if not masks:
         return ()
     seeds = []
@@ -241,11 +208,13 @@ def multiplicity_seeds(
         if mask not in masks:
             continue
         for view in class_set.classes:
-            if view.size < p_min:
+            if view.size < 3:
                 continue
-            groups = _class_groups(view, mask)
+            groups: dict[int, list[int]] = {}
+            for lab, row in zip(view.row_labels, view.rows):
+                groups.setdefault(row & mask, []).append(lab)
             best = max(groups.values(), key=lambda g: (len(g), [-x for x in g]))
-            if len(best) >= p_min:
+            if len(best) >= 3:
                 seeds.append(
                     IdenticalProjectionGroup(
                         columns=subset, class_name=view.name, rows=tuple(best)
@@ -254,72 +223,26 @@ def multiplicity_seeds(
     return tuple(seeds)
 
 
-def _seed_witness(
-    class_set: ClassSet, seed: IdenticalProjectionGroup, subset: ColumnSet
-) -> tuple[str, RowPair]:
-    """A colliding pair certifying that subset (= seed + one column) fails.
-
-    The seed's rows agree on the seed columns; on the one extra column
-    they split into two value groups, and the larger one still holds a
-    colliding pair.
-    """
-    extra = next(c for c in subset if c not in seed.columns)
-    view = next(v for v in class_set.classes if v.name == seed.class_name)
-    bit = class_set.mask((extra,))
-    by_value: dict[int, list[int]] = {}
-    for lab, row in zip(view.row_labels, view.rows):
-        if lab in seed.rows:
-            by_value.setdefault(1 if row & bit else 0, []).append(lab)
-    group = max(by_value.values(), key=len)
-    return seed.class_name, (group[0], group[1])
-
-
 def all_k_subsets_fail(
-    class_set: ClassSet,
-    candidates: Sequence[int],
-    k: int,
-    use_seeds: bool = False,
+    class_set: ClassSet, candidates: Sequence[int], k: int
 ) -> SweepResult:
     """Check whether every k-subset of the candidates fails as a local test.
 
     True means the minimal local test needs more than k columns.  Each
     failing subset gets a witness (class name and colliding row pair).
-    With use_seeds, (k-1)-subsets are scanned for multiplicity seeds first
-    and k-subsets containing one are refuted without a projection check;
-    that shortcut only ever skips non-tests, so the sweep stays exact.
     The first k-subset that *is* a local test is returned as the
     counterexample and the sweep stops.
     """
-    # seed mask -> (scan position, first seed with that mask)
-    seed_of: dict[int, tuple[int, IdenticalProjectionGroup]] = {}
-    if use_seeds and k >= 2:
-        for i, seed in enumerate(multiplicity_seeds(class_set, k - 1)):
-            seed_of.setdefault(class_set.mask(seed.columns), (i, seed))
+    class_set.mask(candidates)  # rejects a column outside the view
     witnesses: dict[ColumnSet, tuple[str, RowPair]] = {}
     checked = 0
-    skipped = 0
-    if k == 0:
-        collision = first_collision(class_set, ())
-        if collision is None:
-            return SweepResult(False, {}, (), 0, 0)
-        return SweepResult(True, {(): collision}, None, 1, 0)
-    class_set.mask(candidates)  # rejects a column outside the view
-    bit_of = class_set.bit_of
     for subset in iter_subsets_colex(tuple(candidates), k):
-        bits = [bit_of[c] for c in subset]
-        mask = sum(bits)
-        if seed_of:
-            hits = [seed_of[mask ^ b] for b in bits if mask ^ b in seed_of]
-            if hits:
-                skipped += 1
-                witnesses[subset] = _seed_witness(class_set, min(hits)[1], subset)
-                continue
         checked += 1
-        collision = first_collision(class_set, subset, mask)
+        collision = first_collision(class_set, subset)
         if collision is None:
-            return SweepResult(False, witnesses, subset, checked, skipped)
+            return SweepResult(False, witnesses, subset, checked)
         witnesses[subset] = collision
-    return SweepResult(True, witnesses, None, checked, skipped)
+    return SweepResult(True, witnesses, None, checked)
 
 
 def residual_pairs_lower_bound(p: int) -> int:

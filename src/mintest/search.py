@@ -26,9 +26,10 @@ results.  Each dead-end verdict is computed once per search.
 Every local decision reads off the class set's minimal within-class row
 differences (ClassSet.difference_masks): a subset is a local test iff its
 columns' hit sets (ClassSet.column_hits) cover every mask, and a column
-of a test is redundant iff no mask meets the test in that column alone.
-No rows are indexed during the scan or the correction loop; is_deadend
-on the full matrix still finds the witness pairs of every reported test.
+of a test is redundant iff no mask meets the test in that column alone
+(_local_verdict, the one local dead-end verdict).  No rows are indexed
+during the scan or the correction loop.  Witness pairs are found only on
+the full matrix: is_deadend certifies every reported test with one.
 """
 
 from __future__ import annotations
@@ -182,30 +183,6 @@ def _json_default(obj):
 # dead-end checks on the full matrix
 
 
-def _deadend_check(
-    index: dict[int, int], column_bits: Iterable[tuple[int, int]]
-) -> DeadendCheck:
-    """Dead-end verdict from a test's projected-row keys -> labels.
-
-    Column c separates a pair alone exactly when the pair's keys differ
-    in c's bit only.  The keys are sorted once, so the first pair
-    flip_pairs yields is the witness with the smallest key.  A column
-    with no such pair is redundant; the highest-indexed one is reported.
-    """
-    keys = sorted(index)
-    witnesses: list[tuple[int, RowPair]] = []
-    redundant: int | None = None
-    for c, bit in column_bits:
-        pair = next(flip_pairs(index, bit, keys), None)
-        if pair is not None:
-            witnesses.append((c, pair))
-        elif redundant is None or c > redundant:
-            redundant = c
-    if redundant is not None:
-        return DeadendCheck(ok=False, witnesses=tuple(witnesses), redundant=redundant)
-    return DeadendCheck(ok=True, witnesses=tuple(witnesses))
-
-
 def is_deadend(matrix: BooleanMatrix, columns: Iterable[int]) -> DeadendCheck:
     """Check irredundancy: every column must separate some pair alone.
 
@@ -214,16 +191,25 @@ def is_deadend(matrix: BooleanMatrix, columns: Iterable[int]) -> DeadendCheck:
     takes one dict lookup per row to find.  A column with no such pair is
     redundant and the set minus that column is still a test; the
     highest-indexed redundant column is reported.  Witness choice is
-    deterministic: the pair with the smallest projection value.
+    deterministic: the keys are sorted once, so the first pair flip_pairs
+    yields is the one with the smallest projection value.
     """
     cols = normalize_columns(columns, matrix.col_count)
     n = matrix.col_count
-    column_bits = [(c, 1 << (n - c)) for c in cols]
-    mask = sum(bit for _, bit in column_bits)
+    mask = sum(1 << (n - c) for c in cols)
     index = {row & mask: lab for row, lab in zip(matrix.rows, matrix.row_labels)}
     if len(index) != matrix.row_count:  # is_test: projections all distinct
         raise ValueError("dead-end check requires a test")
-    return _deadend_check(index, column_bits)
+    keys = sorted(index)
+    witnesses: list[tuple[int, RowPair]] = []
+    redundant: int | None = None
+    for c in cols:
+        pair = next(flip_pairs(index, 1 << (n - c), keys), None)
+        if pair is not None:
+            witnesses.append((c, pair))
+        elif redundant is None or c > redundant:
+            redundant = c
+    return DeadendCheck(ok=redundant is None, witnesses=tuple(witnesses), redundant=redundant)
 
 
 def _reduce(
@@ -286,32 +272,9 @@ def verify_test(
 # local machinery on class sets
 
 
-def local_deadend(class_set: ClassSet, columns: ColumnSet) -> DeadendCheck:
-    """Dead-end check of a local test inside the class structure.
-
-    The columns must already be a local test.  Each row is keyed by its
-    class position above its projection onto the set, so the probe of
-    is_deadend finds witness pairs inside one class only, and the
-    smallest key picks the first class in class order that has a pair,
-    then the smallest projection inside it.
-    """
-    mask = class_set.mask(columns)
-    width = len(class_set.columns)
-    index = {
-        (idx << width) | (row & mask): lab
-        for idx, view in enumerate(class_set.classes)
-        for row, lab in zip(view.rows, view.row_labels)
-    }
-    bit_of = class_set.bit_of
-    return _deadend_check(index, ((c, bit_of[c]) for c in columns))
-
-
-def local_deadend_reduce(class_set: ClassSet, columns: ColumnSet) -> ColumnSet:
-    return _reduce(partial(local_deadend, class_set), tuple(sorted(columns)))
-
-
 def _local_verdict(class_set: ClassSet, columns: ColumnSet) -> DeadendCheck:
-    """local_deadend's ok and redundant column, without witnesses.
+    """Dead-end verdict of a local test inside the class structure: ok,
+    or the highest-indexed redundant column, without witnesses.
 
     Column c separates a pair alone iff the pair's difference meets the
     test in c only.  A minimal difference inside it meets the test in a
@@ -444,11 +407,11 @@ def _search_local(
             cycle_cost = cycle_costs(
                 k=length - 1, p=2, n=n_free + t_ob, t_ob=t_ob, t0=t_ob + length
             )
-            use_seeds = config.seed_prune and cycle_cost.chosen == "z2"
+            seeded = config.seed_prune and cycle_cost.chosen == "z2"
             sweep = _scan_size(
                 class_set,
                 length - 1,
-                _seeds_for(class_set, length - 1, use_seeds),
+                _seeds_for(class_set, length - 1, seeded),
                 [],
                 lambda test: True,
             )

@@ -11,6 +11,43 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+# Every multiplicity seed of q25x10's classes over the free columns, in
+# report order: colex subset order, then class order.
+Q25_SEEDS = {
+    2: [
+        ((1, 2), "Q6", (10, 14, 25)),
+        ((1, 3), "Q3", (3, 9, 13)),
+        ((1, 3), "Q6", (10, 23, 25)),
+        ((2, 3), "Q2", (2, 19, 21)),
+        ((2, 3), "Q6", (6, 10, 25)),
+        ((2, 3), "Q7", (4, 5, 17)),
+        ((2, 4), "Q6", (6, 10, 25)),
+        ((3, 4), "Q6", (6, 10, 25)),
+        ((1, 6), "Q2", (2, 19, 20)),
+        ((1, 6), "Q6", (14, 23, 25)),
+        ((2, 6), "Q2", (2, 7, 19)),
+        ((4, 6), "Q2", (7, 19, 20)),
+        ((1, 7), "Q7", (4, 5, 24)),
+        ((3, 7), "Q6", (6, 23, 25)),
+        ((4, 7), "Q2", (7, 19, 20)),
+        ((6, 7), "Q2", (7, 19, 20)),
+        ((6, 7), "Q3", (3, 12, 16)),
+        ((1, 9), "Q6", (14, 23, 25)),
+        ((2, 9), "Q2", (2, 7, 21)),
+        ((2, 9), "Q6", (6, 14, 25)),
+        ((3, 9), "Q6", (6, 23, 25)),
+        ((6, 9), "Q6", (14, 23, 25)),
+        ((7, 9), "Q6", (6, 23, 25)),
+    ],
+    3: [
+        ((2, 3, 4), "Q6", (6, 10, 25)),
+        ((4, 6, 7), "Q2", (7, 19, 20)),
+        ((1, 6, 9), "Q6", (14, 23, 25)),
+        ((3, 7, 9), "Q6", (6, 23, 25)),
+    ],
+}
+
+
 class TestAnalyze:
     def test_fixture_text_output(self, capsys):
         code, out, _ = run(capsys, "analyze", "--input", "q25x10")
@@ -61,6 +98,27 @@ class TestAnalyze:
         code, _, err = run(capsys, "analyze", "--input", "/nope/missing.txt")
         assert code == 1
         assert "error:" in err
+
+    def test_negative_seed_size_exit_1(self, capsys):
+        code, out, err = run(
+            capsys, "analyze", "--input", "q25x10", "--seeds", "--seed-size", "-1"
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: --seed-size must be >= 0, got -1\n"
+
+    @pytest.mark.parametrize("size", [2, 3])
+    def test_full_seed_list(self, capsys, size):
+        code, out, _ = run(
+            capsys, "analyze", "--input", "q25x10", "--seeds", "--json",
+            "--seed-size", str(size),
+        )
+        assert code == 0
+        seeds = [
+            (tuple(s["columns"]), s["class"], tuple(s["rows"]))
+            for s in json.loads(out)["seeds"]
+        ]
+        assert seeds == Q25_SEEDS[size]
+
 
 
 class TestEnumerate:
@@ -122,6 +180,23 @@ class TestEnumerate:
         assert code == 0
         assert "integral length: 6 + 2 = 8" in out
         assert "integral test: 1,2,3,4,5,6,7,10" in out
+
+    @pytest.mark.parametrize(
+        "header,message",
+        [
+            ("columns: 1 1 2", "line 1: 'columns:' repeats label(s) 1"),
+            (
+                "columns: 1 2 4\nmandatory: 2 3",
+                "line 2: 'mandatory:' label(s) 2 are also in 'columns:'",
+            ),
+        ],
+    )
+    def test_class_set_bad_header_exit_1(self, capsys, tmp_path, header, message):
+        path = tmp_path / "classes.txt"
+        path.write_text(header + "\nclass 0\n1: 010\n2: 100\n")
+        code, out, err = run(capsys, "enumerate", "--input", str(path))
+        assert (code, out) == (1, "")
+        assert err == f"error: {message}\n"
 
     def test_class_set_no_heuristic_ceiling_exit_3(self, capsys, tmp_path):
         # 3 rows over 24 columns: above the default ceiling of 22

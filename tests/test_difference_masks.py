@@ -5,7 +5,8 @@ a ^ b, and a column of a local test separates some pair alone iff the
 test meets some minimal difference in that column only.  These tests pin
 ClassSet.difference_masks and ClassSet.column_hits to their definitions,
 and the decisions read off them (is_local_test, the search's dead-end
-verdict) to first_collision and local_deadend on every column subset.
+verdict) to first_collision and the group-by reference of test_flip_probe
+on every column subset.
 """
 
 import random
@@ -19,12 +20,13 @@ from mintest import (
     ClassView,
     class_views,
     is_local_test,
-    local_deadend,
     parse_class_set,
     partition_by_mandatory,
 )
 from mintest.pruning import first_collision
 from mintest.search import _local_verdict
+
+from test_flip_probe import reference_local_deadend
 
 
 def make_class_set(rng, width, sizes):
@@ -115,10 +117,9 @@ def assert_decisions_agree(class_set):
         test = is_local_test(class_set, cols)
         assert test == (first_collision(class_set, cols) is None), cols
         if test:
-            fast = _local_verdict(class_set, cols)
-            slow = local_deadend(class_set, cols)
-            assert (fast.ok, fast.redundant) == (slow.ok, slow.redundant), cols
-            kinds.add(fast.ok)
+            verdict = _local_verdict(class_set, cols)
+            assert verdict == reference_local_deadend(class_set, cols), cols
+            kinds.add(verdict.ok)
     return kinds
 
 

@@ -1,12 +1,13 @@
 """The bit-flip probe against plain reference algorithms.
 
-find_mandatory, is_deadend and local_deadend all read distance-1 pairs
-off one hash probe (flip_pairs).  These tests pin their output, order
-included, to straightforward all-pairs and group-and-sort references
-written out here.
+find_mandatory and is_deadend read distance-1 pairs off one hash probe
+(flip_pairs).  These tests pin their output, order included, to
+straightforward all-pairs and group-and-sort references written out here.
+The search's local dead-end verdict is pinned to a group-by reference too.
 """
 
 import random
+from collections import Counter
 from itertools import combinations
 
 from hypothesis import given, settings, strategies as st
@@ -25,12 +26,12 @@ from mintest import (
     is_deadend,
     is_local_test,
     is_test,
-    local_deadend,
     parse_matrix,
     partition_by_mandatory,
     sort_rows_by_binary_value,
 )
 from mintest.matrix import flip_pairs
+from mintest.search import _local_verdict
 
 
 def reference_mandatory(matrix):
@@ -70,31 +71,19 @@ def reference_is_deadend(matrix, cols):
 
 
 def reference_local_deadend(class_set, columns):
-    """Two-row groups per class; the smallest (class index, key) wins."""
-    witnesses = []
+    """Group each class's rows by the other columns of the local test: a
+    column with no two-row group separates no pair alone and is redundant;
+    the highest-indexed one is reported.  No witnesses, as in the search."""
     redundant = None
     for c in columns:
         rest_mask = class_set.mask(x for x in columns if x != c)
-        pair = None
-        best_key = None
-        for idx, view in enumerate(class_set.classes):
-            groups = {}
-            for lab, row in zip(view.row_labels, view.rows):
-                groups.setdefault(row & rest_mask, []).append(lab)
-            for key, labs in groups.items():
-                if len(labs) == 2:
-                    cand = (idx, key)
-                    if best_key is None or cand < best_key:
-                        best_key = cand
-                        pair = (min(labs), max(labs))
-        if pair is None:
-            if redundant is None or c > redundant:
-                redundant = c
-        else:
-            witnesses.append((c, pair))
-    return DeadendCheck(
-        ok=redundant is None, witnesses=tuple(witnesses), redundant=redundant
-    )
+        alone = any(
+            max(Counter(row & rest_mask for row in view.rows).values()) >= 2
+            for view in class_set.classes
+        )
+        if not alone and (redundant is None or c > redundant):
+            redundant = c
+    return DeadendCheck(ok=redundant is None, witnesses=(), redundant=redundant)
 
 
 @st.composite
@@ -261,7 +250,7 @@ class TestLocalDeadendReference:
     @given(class_sets())
     def test_every_local_test_of_random_class_sets(self, class_set):
         for cols in all_local_tests(class_set):
-            assert local_deadend(class_set, cols) == reference_local_deadend(
+            assert _local_verdict(class_set, cols) == reference_local_deadend(
                 class_set, cols
             )
 
@@ -275,11 +264,11 @@ class TestLocalDeadendReference:
                 continue
             cs = class_views(m, partition)
             for cols in all_local_tests(cs):
-                check = local_deadend(cs, cols)
+                check = _local_verdict(cs, cols)
                 assert check == reference_local_deadend(cs, cols)
                 kinds.add(check.ok)
         assert kinds == {True, False}
 
     def test_fixture(self, m8):
         for cols in all_local_tests(m8):
-            assert local_deadend(m8, cols) == reference_local_deadend(m8, cols)
+            assert _local_verdict(m8, cols) == reference_local_deadend(m8, cols)

@@ -42,14 +42,6 @@ class TestColumnPairStats:
         by_col = dict(zip(stats.columns, stats.undistinguished))
         assert by_col == {1: 20, 2: 29, 3: 20, 4: 20, 6: 24, 7: 21, 9: 20}
 
-    def test_union_by_name(self, q25):
-        s = sort_rows_by_binary_value(q25)
-        cs = class_views(s, partition_by_mandatory(s, (5, 8, 10)))
-        stats = union_pair_stats(cs, ("Q2", "Q3"))
-        assert stats.total_pairs == 45
-        with pytest.raises(ValueError):
-            union_pair_stats(cs, ("Q2", "nope"))
-
     def test_single_row_rejected(self):
         m = BooleanMatrix(col_count=2, rows=(0b01,), row_labels=(1,))
         with pytest.raises(ValueError):

@@ -188,6 +188,24 @@ class TestClassSetParsing:
         with pytest.raises(MatrixFormatError, match="duplicate rows"):
             parse_class_set("columns: 1 2\nclass 0\n1: 01\n2: 01\n")
 
+    @pytest.mark.parametrize(
+        "header,message",
+        [
+            ("columns: 1 1 2", "line 1: 'columns:' repeats label(s) 1"),
+            ("columns: 0 1 2", "line 1: 'columns:' labels must be positive, got 0"),
+            ("columns: 1 -2 3", "line 1: 'columns:' labels must be positive, got -2"),
+            ("columns: 1 x 3", "line 1: 'columns:' labels must be integers"),
+            ("columns: 1 2 3\nmandatory: 4 4", "line 2: 'mandatory:' repeats label(s) 4"),
+            ("columns: 1 2 3\nmandatory: 0 4", "line 2: 'mandatory:' labels must be positive, got 0"),
+            ("columns: 1 2 3\nmandatory: 2 4", "line 2: 'mandatory:' label(s) 2 are also in 'columns:'"),
+            ("mandatory: 3 1\ncolumns: 1 2 3", "line 1: 'mandatory:' label(s) 1 3 are also in 'columns:'"),
+        ],
+    )
+    def test_rejects_bad_headers(self, header, message):
+        with pytest.raises(MatrixFormatError) as info:
+            parse_class_set(header + "\nclass 0\n1: 010\n2: 100\n")
+        assert str(info.value) == message
+
     def test_mask(self, m8):
         assert m8.mask((1,)) == 0b1000
         assert m8.mask((9,)) == 0b0001

@@ -6,12 +6,13 @@ import pytest
 from conftest import random_matrix
 
 from mintest import (
+    ClassSet,
+    ClassView,
     all_k_subsets_fail,
     bijective_column_pairs,
     class_views,
     cycle_costs,
     find_mandatory,
-    identical_projection_groups,
     is_local_test,
     is_test,
     iter_subsets_colex,
@@ -24,6 +25,7 @@ from mintest import (
     seed_masks,
     sort_rows_by_binary_value,
 )
+from mintest.pruning import first_collision
 
 KNOWN_SEED_TRIPLES = {
     (1, 2): (10, 14, 25),
@@ -59,32 +61,35 @@ class TestSubsetOrder:
         assert list(iter_subsets_colex((1, 2), 3)) == []
 
 
-class TestIdenticalProjectionGroups:
-    def test_known_triples(self, q25_views):
-        groups = identical_projection_groups(q25_views, (4, 6))
-        triples = [(g.class_name, g.rows) for g in groups if g.multiplicity >= 3]
-        assert ("Q2", (7, 19, 20)) in triples
+def projects_identically(class_set, columns, class_name, rows):
+    """True iff the given rows of the named class agree on the columns."""
+    mask = class_set.mask(columns)
+    view = next(v for v in class_set.classes if v.name == class_name)
+    values = {row & mask for lab, row in zip(view.row_labels, view.rows) if lab in rows}
+    return len(values) == 1
 
-    def test_pair_with_group_in_another_class(self, q25_views):
-        groups = identical_projection_groups(q25_views, (1, 2))
-        assert ("Q6", (10, 14, 25)) in [(g.class_name, g.rows) for g in groups]
+
+class TestIdenticalProjectionGroups:
+    """The identical-projection rule: a set is a local test iff no two rows
+    of one class project identically onto it."""
 
     def test_full_columns_no_groups(self, q25_views):
-        assert identical_projection_groups(q25_views, q25_views.columns) == ()
+        assert first_collision(q25_views, q25_views.columns) is None
 
     def test_empty_iff_local_test(self, q25_views):
         for subset in iter_subsets_colex(q25_views.columns, 4):
-            empty = not identical_projection_groups(q25_views, subset)
-            assert empty == is_local_test(q25_views, subset)
+            collision = first_collision(q25_views, subset)
+            assert (collision is None) == is_local_test(q25_views, subset)
+            if collision is not None:
+                assert projects_identically(q25_views, subset, *collision)
 
     def test_matches_is_test_on_whole_matrix(self):
         for seed in range(15):
             m = random_matrix(seed, rows=7, cols=5)
             cs = whole_matrix_views(m)
             for subset in iter_subsets_colex(cs.columns, 2):
-                assert (not identical_projection_groups(cs, subset)) == is_test(
-                    m, subset
-                )
+                assert is_local_test(cs, subset) == is_test(m, subset)
+                assert (first_collision(cs, subset) is None) == is_test(m, subset)
 
 
 class TestAllKSubsetsFail:
@@ -92,30 +97,16 @@ class TestAllKSubsetsFail:
         sweep = all_k_subsets_fail(q25_views, q25_views.columns, 3)
         assert sweep.all_fail
         assert len(sweep.witnesses) == math.comb(7, 3) == 35
+        assert sweep.checked == 35
         # every witness really collides
-        for subset, (cls_name, (a, b)) in sweep.witnesses.items():
-            groups = identical_projection_groups(q25_views, subset)
-            hit = [g for g in groups if g.class_name == cls_name and
-                   a in g.rows and b in g.rows]
-            assert hit, (subset, cls_name, a, b)
-
-    def test_seeded_sweep_agrees(self, q25_views):
-        plain = all_k_subsets_fail(q25_views, q25_views.columns, 3, use_seeds=False)
-        seeded = all_k_subsets_fail(q25_views, q25_views.columns, 3, use_seeds=True)
-        assert plain.all_fail == seeded.all_fail is True
-        assert set(plain.witnesses) == set(seeded.witnesses)
-        assert seeded.checked < plain.checked
-        for subset, (cls_name, (a, b)) in seeded.witnesses.items():
-            groups = identical_projection_groups(q25_views, subset)
-            assert any(
-                g.class_name == cls_name and a in g.rows and b in g.rows
-                for g in groups
-            )
+        for subset, (cls_name, pair) in sweep.witnesses.items():
+            assert projects_identically(q25_views, subset, cls_name, pair), subset
 
     def test_counterexample_when_test_exists(self, q25_views):
         sweep = all_k_subsets_fail(q25_views, q25_views.columns, 4)
         assert not sweep.all_fail
         assert sweep.counterexample == (1, 2, 4, 6)  # colex-first local test
+        assert (sweep.checked, len(sweep.witnesses)) == (3, 2)
 
     def test_single_column_tests(self):
         m = parse_matrix("01\n10\n")
@@ -176,9 +167,21 @@ class TestMultiplicitySeeds:
         assert multiplicity_seeds(m8, 1) == ()
         assert multiplicity_seeds(m8, 2) == ()
 
-    def test_p_min_validation(self, q25_views):
-        with pytest.raises(ValueError):
-            multiplicity_seeds(q25_views, 2, p_min=2)
+    def test_largest_group_ties_go_to_smallest_labels(self):
+        # column 1 splits the class into two groups of three; rows keep
+        # their class order inside a group
+        view = ClassView(
+            name="M1",
+            key=(),
+            row_labels=(4, 5, 6, 1, 2, 3),
+            rows=(0b000, 0b001, 0b010, 0b100, 0b101, 0b110),
+        )
+        cs = ClassSet(columns=(1, 2, 3), classes=(view,))
+        assert [(g.columns, g.rows) for g in multiplicity_seeds(cs, 1)] == [
+            ((1,), (1, 2, 3)),
+            ((2,), (4, 5, 1, 2)),
+            ((3,), (4, 6, 1, 3)),
+        ]
 
 
 def random_class_set(seed):
@@ -194,25 +197,24 @@ def random_class_set(seed):
     return class_views(m, partition_by_mandatory(m, range(1, 1 + seed % 3)))
 
 
-def reference_seed_masks(class_set, k, p_min):
-    """Masks of the k-subsets leaving >= p_min equal projections in a class."""
+def reference_seed_masks(class_set, k):
+    """Masks of the k-subsets leaving >= 3 equal projections in a class."""
     out = set()
     for subset in iter_subsets_colex(class_set.columns, k):
         mask = class_set.mask(subset)
         for view in class_set.classes:
-            if max(Counter(row & mask for row in view.rows).values()) >= p_min:
+            if max(Counter(row & mask for row in view.rows).values()) >= 3:
                 out.add(mask)
                 break
     return out
 
 
 class TestSeedMasks:
-    @pytest.mark.parametrize("p_min", [3, 4, 5])
-    def test_matches_reference_on_random_class_sets(self, p_min):
+    def test_matches_reference_on_random_class_sets(self):
         for seed in range(30):
             cs = random_class_set(seed)
             for k in range(len(cs.columns) + 1):
-                assert seed_masks(cs, k, p_min) == reference_seed_masks(cs, k, p_min), (
+                assert seed_masks(cs, k) == reference_seed_masks(cs, k), (
                     seed,
                     k,
                 )
@@ -220,7 +222,7 @@ class TestSeedMasks:
     def test_fixture_matches_reference_and_seed_table(self, q25_views):
         for k in range(len(q25_views.columns) + 1):
             masks = seed_masks(q25_views, k)
-            assert masks == reference_seed_masks(q25_views, k, 3)
+            assert masks == reference_seed_masks(q25_views, k)
             assert masks == {
                 q25_views.mask(g.columns) for g in multiplicity_seeds(q25_views, k)
             }
@@ -239,27 +241,6 @@ class TestSeedMasks:
         assert max(v.size for v in m8.classes) < 3
         for k in range(len(m8.columns) + 1):
             assert seed_masks(m8, k) == set()
-
-    def test_p_min_validation(self, q25_views):
-        with pytest.raises(ValueError):
-            seed_masks(q25_views, 2, p_min=2)
-
-
-class TestSeededSweepWitnesses:
-    def test_skipped_subsets_cite_first_seed_in_scan_order(self):
-        for seed in range(30):
-            cs = random_class_set(seed)
-            for k in range(2, len(cs.columns) + 1):
-                seeds = multiplicity_seeds(cs, k - 1)
-                sweep = all_k_subsets_fail(cs, cs.columns, k, use_seeds=True)
-                for subset, (cls_name, (a, b)) in sweep.witnesses.items():
-                    first = next(
-                        (g for g in seeds if set(g.columns) <= set(subset)), None
-                    )
-                    if first is None:
-                        continue  # refuted by a projection check
-                    assert cls_name == first.class_name
-                    assert a in first.rows and b in first.rows
 
 
 class TestResidualBound:

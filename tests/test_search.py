@@ -1,5 +1,6 @@
 import json
 from collections import Counter
+from functools import partial
 
 import pytest
 
@@ -16,8 +17,6 @@ from mintest import (
     find_mandatory,
     is_deadend,
     is_test,
-    local_deadend,
-    local_deadend_reduce,
     oracle_deadend_tests,
     oracle_minimal_tests,
     parse_matrix,
@@ -258,14 +257,10 @@ class TestLocalEnumeration:
         assert sorted(failing) == [(1, 8), (5, 9)]
 
     def test_local_deadend_reduce(self, m8):
-        assert local_deadend_reduce(m8, (1, 5, 8, 9)) in (
-            (1, 5),
-            (1, 9),
-            (5, 8),
-            (8, 9),
-        )
-        check = local_deadend(m8, (1, 5))
-        assert check.ok
+        # the reduction the correction loop applies to a jump target
+        verdict = partial(mintest.search._local_verdict, m8)
+        assert mintest.search._reduce(verdict, (1, 5, 8, 9)) == (1, 5)
+        assert verdict((1, 5)).ok
 
 
 class TestVerify:
