@@ -20,6 +20,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
+from math import comb
 from typing import Iterable
 
 from .matrix import (
@@ -132,6 +133,15 @@ class ClassSet:
         return tuple(sorted(self.classes, key=lambda c: -c.size))
 
     @cached_property
+    def _differences(self) -> tuple[tuple[int, ...], dict[int, int]]:
+        diffs: set[int] = set()
+        for view in self.classes:
+            rows = view.rows
+            for i, row in enumerate(rows):
+                diffs.update(map(row.__xor__, rows[i + 1 :]))
+        return _minimal_masks(diffs, len(self.columns))
+
+    @property
     def difference_masks(self) -> tuple[int, ...]:
         """The inclusion-minimal row differences a ^ b inside the classes.
 
@@ -139,26 +149,12 @@ class ClassSet:
         mask misses their difference, and every difference contains a
         minimal one, so a column set is a local test iff its mask meets
         every mask here.  Masks are ordered fewest bits first, ties by
-        value, which lets the build compare each difference only with
-        the smaller masks already kept.  They are nonzero unless two rows
-        of a class project identically onto the view (then the only mask
-        is 0 and nothing is a test).  The build costs O(sum of C(p,2))
-        XORs over classes of p rows, and its temporary set holds at most
-        min(sum of C(p,2), 2^width) values.
+        value.  They are nonzero unless two rows of a class project
+        identically onto the view (then the only mask is 0 and nothing is
+        a test).  The build takes O(sum of C(p,2)) XORs over classes of p
+        rows, then the filter of _minimal_masks.
         """
-        diffs: set[int] = set()
-        for view in self.classes:
-            rows = view.rows
-            for i, row in enumerate(rows):
-                diffs.update(map(row.__xor__, rows[i + 1 :]))
-        minimal: list[int] = []
-        kept: set[int] = set()
-        for diff in sorted(sorted(diffs), key=int.bit_count):
-            # diff & m is a kept mask iff some kept mask lies inside diff
-            if kept.isdisjoint(map(diff.__and__, minimal)):
-                minimal.append(diff)
-                kept.add(diff)
-        return tuple(minimal)
+        return self._differences[0]
 
     @cached_property
     def column_hits(self) -> dict[int, int]:
@@ -169,11 +165,48 @@ class ClassSet:
         cover every position: k ORs of ints with one bit per mask, in
         place of a pass over the masks or the rows.
         """
-        masks = self.difference_masks
-        return {
-            c: sum(1 << i for i, m in enumerate(masks) if m & bit)
-            for c, bit in self.bit_of.items()
-        }
+        return self._by_label(self._differences[1])
+
+    @property
+    def triple_count(self) -> int:
+        """Row triples inside the classes: sum of C(p,3) over classes of
+        p rows, the size of the triple_masks build."""
+        return sum(comb(view.size, 3) for view in self.classes)
+
+    @cached_property
+    def _triples(self) -> tuple[tuple[int, ...], dict[int, int]]:
+        unions: set[int] = set()
+        for view in self.classes:
+            rows = view.rows
+            for i, row in enumerate(rows):
+                diffs = [row ^ other for other in rows[i + 1 :]]
+                for j, diff in enumerate(diffs):
+                    unions.update(map(diff.__or__, diffs[j + 1 :]))
+        return _minimal_masks(unions, len(self.columns))
+
+    @property
+    def triple_masks(self) -> tuple[int, ...]:
+        """The inclusion-minimal masks (a ^ b) | (a ^ c) over the row
+        triples inside the classes, ordered as difference_masks.
+
+        Three rows agree on a column set exactly when it misses their
+        mask, so a set of k columns contains a (k-1)-subset projecting
+        three rows of a class onto one value (a multiplicity seed) iff it
+        meets some mask here at most once; a smaller mask is met no more
+        often, so the minimal ones decide.  Empty when no class has three
+        rows.  The build takes triple_count ORs.
+        """
+        return self._triples[0]
+
+    @cached_property
+    def triple_hits(self) -> dict[int, int]:
+        """Original column label -> the triple masks it meets, as a bit
+        set over their positions (bit i for triple_masks[i])."""
+        return self._by_label(self._triples[1])
+
+    def _by_label(self, hits: dict[int, int]) -> dict[int, int]:
+        """Per-bit hit sets of _minimal_masks keyed by column label."""
+        return {c: hits[bit] for c, bit in self.bit_of.items()}
 
     def mask(self, columns: Iterable[int]) -> int:
         """Bit mask of view positions for a set of original column labels."""
@@ -193,6 +226,41 @@ class ClassSet:
     @property
     def parent_pair_total(self) -> int | None:
         return pair_count(self.total_rows) if self.total_rows else None
+
+
+def _minimal_masks(
+    candidates: Iterable[int], width: int
+) -> tuple[tuple[int, ...], dict[int, int]]:
+    """The inclusion-minimal masks among the candidates, and per bit of a
+    width-bit mask the bit set over their positions of the masks that
+    hold it.
+
+    Candidates are taken fewest bits first, ties by value, which is the
+    order of the result.  A candidate is dropped iff some kept mask lies
+    inside it, that is has no bit outside it: ORing the kept masks' sets
+    over the candidate's clear bits then misses that mask.  Each candidate
+    costs one OR per clear bit, of ints with one bit per kept mask.
+    """
+    full = (1 << width) - 1
+    hits = {1 << b: 0 for b in range(width)}
+    kept: list[int] = []
+    every = 0  # one bit per kept mask
+    for cand in sorted(sorted(candidates), key=int.bit_count):
+        outside = 0
+        clear = full ^ cand
+        while clear:
+            low = clear & -clear
+            outside |= hits[low]
+            clear ^= low
+        if outside != every:
+            continue
+        position = 1 << len(kept)
+        kept.append(cand)
+        every |= position
+        for bit in hits:
+            if cand & bit:
+                hits[bit] |= position
+    return tuple(kept), hits
 
 
 def candidate_pairs(matrix: BooleanMatrix) -> tuple[RowPair, ...]:
@@ -342,13 +410,16 @@ def parse_class_set(text: str) -> ClassSet:
     each row line is ``<label>: <bits>`` over those columns.  ``mandatory``
     and ``parent-rows`` are optional context about the parent matrix.
     Labels in ``columns`` and ``mandatory`` are distinct positive integers,
-    and no mandatory label is also a view column.  Class names are M1,
-    M2, ... in file order.
+    and no mandatory label is also a view column.  Row labels and
+    ``parent-rows`` are positive integers, and ``parent-rows`` is at least
+    the number of rows in the classes.  Class names are M1, M2, ... in
+    file order.
     """
     columns: ColumnSet | None = None
     mandatory: ColumnSet = ()
     mandatory_line = 0
     total_rows: int | None = None
+    total_rows_line = 0
     classes: list[ClassView] = []
     current_key: tuple[int, ...] | None = None
     current_rows: list[tuple[int, int]] = []
@@ -385,7 +456,8 @@ def parse_class_set(text: str) -> ClassSet:
         elif line.startswith("mandatory:"):
             mandatory, mandatory_line = _header_labels(lineno, line), lineno
         elif line.startswith("parent-rows:"):
-            total_rows = int(line.split(":", 1)[1])
+            total_rows = _positive_int(lineno, "'parent-rows:'", line.split(":", 1)[1])
+            total_rows_line = lineno
         elif line.startswith("class"):
             flush()
             key_text = line.split(None, 1)[1] if " " in line else ""
@@ -403,7 +475,7 @@ def parse_class_set(text: str) -> ClassSet:
                 raise MatrixFormatError(
                     f"line {lineno}: expected {len(columns)} bits of '0'/'1'"
                 )
-            label = int(label_text)
+            label = _positive_int(lineno, "row label", label_text)
             if label in seen_labels:
                 raise MatrixFormatError(f"line {lineno}: duplicate row label {label}")
             seen_labels.add(label)
@@ -419,12 +491,31 @@ def parse_class_set(text: str) -> ClassSet:
             f"line {mandatory_line}: 'mandatory:' label(s) "
             f"{' '.join(map(str, shared))} are also in 'columns:'"
         )
+    class_rows = sum(view.size for view in classes)
+    if total_rows is not None and total_rows < class_rows:
+        raise MatrixFormatError(
+            f"line {total_rows_line}: 'parent-rows:' {total_rows} is below "
+            f"the {class_rows} class rows"
+        )
     return ClassSet(
         columns=columns,
         classes=tuple(classes),
         mandatory=tuple(sorted(mandatory)),
         total_rows=total_rows,
     )
+
+
+def _positive_int(lineno: int, name: str, text: str) -> int:
+    """A positive integer field of a class-set file."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise MatrixFormatError(
+            f"line {lineno}: {name} must be an integer, got {text.strip()!r}"
+        ) from None
+    if value < 1:
+        raise MatrixFormatError(f"line {lineno}: {name} must be positive, got {value}")
+    return value
 
 
 def _header_labels(lineno: int, line: str) -> ColumnSet:

@@ -18,12 +18,17 @@ Three independent facts shrink the search, all phrased over a ClassSet:
   at most floor(p^2/4) of the p*(p-1)/2 colliding pairs get separated and
   at least p*(p-1)/2 - floor(p^2/4) >= 1 survive.  Hence every
   (k+1)-subset containing such a seed is a non-test and can be skipped
-  without checking.  Seeds are found by partition refinement: a
-  depth-first search over the columns in view order keeps, per node, only
-  the row blocks of >= 3 rows that agree on the columns chosen so far, and
-  stops descending once no such block is left.  A (k+1)-subset contains a
-  seed iff one of its k one-smaller submasks is in the seed set, an O(k)
-  set probe, made by the search's own scans (search._scan_size).
+  without checking.  Three rows a, b, c agree on a column set exactly
+  when it misses (a^b)|(a^c), so a (k+1)-subset contains a k-seed iff it
+  meets one of these triple masks at most once; the search tests that
+  with a ones/twos cover over the class set's minimal triple masks
+  (ClassSet.triple_masks, search._seed_cover).  seed_masks lists the
+  seeds themselves by partition refinement: a depth-first search over
+  the columns in view order keeps, per node, only the row blocks of >= 3
+  rows that agree on the columns chosen so far, and stops descending
+  once no such block is left.  It serves multiplicity_seeds, and the
+  search's seed test on a class set with too many row triples to build
+  their masks.
 
 * Paired columns.  Two columns that are equal or complementary separate
   exactly the same row pairs, so one of them is redundant in any test that

@@ -27,18 +27,26 @@ Every local decision reads off the class set's minimal within-class row
 differences (ClassSet.difference_masks): a subset is a local test iff its
 columns' hit sets (ClassSet.column_hits) cover every mask, and a column
 of a test is redundant iff no mask meets the test in that column alone
-(_local_verdict, the one local dead-end verdict).  No rows are indexed
-during the scan or the correction loop.  Witness pairs are found only on
-the full matrix: is_deadend certifies every reported test with one.
+(_local_verdict, the one local dead-end verdict).  The seed test reads
+off the minimal row-triple masks the same way: a subset contains a
+multiplicity seed iff its columns meet some triple mask at most once, a
+ones/twos cover over ClassSet.triple_hits; above _TRIPLE_MASK_CAP row
+triples the masks are the complements of the seeds of the scanned size
+(_seed_cover).  Every subset scan is one depth-first kernel (_scan_size,
+_extend) that visits the subsets in iter_subsets_colex order and carries
+the covers along each prefix, so a candidate costs O(1) int operations.
+No rows are indexed during the scan or the correction loop.  Witness
+pairs are found only on the full matrix: is_deadend certifies every
+reported test with one.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
-from functools import partial, reduce
-from operator import or_
-from typing import Callable, Iterable, NamedTuple
+from functools import partial
+from math import comb
+from typing import Callable, Iterable
 
 from .heuristic import (
     HeuristicEstimate,
@@ -67,7 +75,6 @@ from .oracle import OracleCeilingError, oracle_minimal_tests
 from .pruning import (
     CycleCost,
     cycle_costs,
-    iter_subsets_colex,
     paired_view_columns,
     seed_masks,
 )
@@ -289,58 +296,160 @@ def _local_verdict(class_set: ClassSet, columns: ColumnSet) -> DeadendCheck:
     return DeadendCheck(ok=redundant is None, witnesses=(), redundant=redundant)
 
 
-class _Scan(NamedTuple):
+# Above this many row triples in a class set, the seed test reads its
+# masks off the multiplicity seeds of each scanned size instead of the
+# class set's triple masks (one 500-row class has 2*10^7 triples).
+_TRIPLE_MASK_CAP = 100_000
+
+
+@dataclass(slots=True)
+class _Scan:
     tests: list[ColumnSet]
-    hit: ColumnSet | None
-    checked: int
-    seed_skips: int
-    pair_skips: int
+    hit: ColumnSet | None = None
+    checked: int = 0
+    seed_skips: int = 0
+    pair_skips: int = 0
 
 
-def _seeds_for(class_set: ClassSet, size: int, use: bool) -> set[int]:
-    """Masks of the multiplicity seeds that prune the scan of one size."""
-    return seed_masks(class_set, size - 1) if use and size >= 2 else set()
+def _seed_cover(class_set: ClassSet, size: int) -> tuple[list[int], int]:
+    """Masks of the seed test of one scanned size: per view column the
+    bit set of the masks it meets, and the set of all of them.
+
+    A size-k subset contains a (k-1)-seed iff it meets some mask at most
+    once.  The masks are the class set's triple masks, or, above
+    _TRIPLE_MASK_CAP triples, the view complements of the (k-1)-seeds
+    themselves: a k-set M contains a (k-1)-set S iff M meets ~S at most
+    once.
+    """
+    columns = class_set.columns
+    if class_set.triple_count <= _TRIPLE_MASK_CAP:
+        hits = class_set.triple_hits
+        return [hits[c] for c in columns], (1 << len(class_set.triple_masks)) - 1
+    seeds = seed_masks(class_set, size - 1)
+    # one bit per seed, set where the seed lacks the column
+    return [
+        int("0" + "".join("0" if s & class_set.bit_of[c] else "1" for s in seeds), 2)
+        for c in columns
+    ], (1 << len(seeds)) - 1
+
+
+def _partner_masks(class_set: ClassSet) -> list[int]:
+    """Per view column, the view bits of the columns paired with it."""
+    partners = dict.fromkeys(class_set.columns, 0)
+    for a, b in paired_view_columns(class_set):
+        partners[a] |= class_set.bit_of[b]
+        partners[b] |= class_set.bit_of[a]
+    return list(partners.values())
 
 
 def _scan_size(
     class_set: ClassSet,
     size: int,
-    seeds: set[int],
-    pair_masks: list[int],
+    seeds: bool,
+    partners: list[int] | None,
     stop: Callable[[ColumnSet], bool] | None = None,
 ) -> _Scan:
-    """Local tests of the given size, in colex order, under pruning.
+    """Local tests of the given size, in the order of iter_subsets_colex,
+    under pruning.
 
-    A candidate covering a paired-column mask is skipped; one containing a
-    seed (one of its one-smaller submasks is in seeds) is a proven
-    non-test and skipped; every other candidate is checked.  Only the
+    A candidate holding a column and one of its partners (partners: per
+    view column, the bits of its paired columns) is skipped; with seeds
+    and size >= 2 one containing a multiplicity seed is a proven non-test
+    and skipped (_seed_cover); every other candidate is checked.  Only the
     paired-column skips may hide tests, and only non-dead-end ones.  The
     scan ends at the first test for which stop is true and returns it as
     hit.  The size-L enumeration, the (L-1) refutation sweep and the
     unpruned rescan for a jump target all run here.
+
+    The scan is a depth-first walk that fixes the last column, then
+    extends a prefix from the left (_extend), carrying the view mask, the
+    difference-mask cover and the seed test's ones/twos cover, so each
+    candidate costs O(1) int operations.  A prefix holding a paired
+    column pair skips all its completions in one step.
     """
     columns = class_set.columns
-    column_bits = [class_set.bit_of[c] for c in columns]
-    hits = class_set.column_hits
-    every_mask = (1 << len(class_set.difference_masks)) - 1
-    found: list[ColumnSet] = []
+    width = len(columns)
+    scan = _Scan([])
+    if not 0 <= size <= width:
+        return scan
+    every = (1 << len(class_set.difference_masks)) - 1
+    if size == 0:  # the empty set: a test only when no class has two rows
+        scan.checked = 1
+        if every == 0:
+            scan.tests.append(())
+            scan.hit = () if stop is not None and stop(()) else None
+        return scan
+    hits = [class_set.column_hits[c] for c in columns]
+    seed_hits, seed_all = (
+        _seed_cover(class_set, size) if seeds and size >= 2 else ([0] * width, 0)
+    )
+    bits = [class_set.bit_of[c] for c in columns]
+    context = (
+        columns, bits, hits, every, seed_hits, seed_all,
+        partners or [0] * width, stop, scan,
+    )
+    if size == 1:
+        _extend(context, 0, width, 1, (), (), 0, 0, 0, 0)
+        return scan
+    for last in range(size - 1, width):
+        if _extend(
+            context, 0, last, size - 1, (), (columns[last],),
+            bits[last], hits[last], seed_hits[last], 0,
+        ):
+            break
+    return scan
+
+
+def _extend(
+    context: tuple,
+    start: int,
+    end: int,
+    need: int,
+    prefix: ColumnSet,
+    suffix: ColumnSet,
+    mask: int,
+    cover: int,
+    ones: int,
+    twos: int,
+) -> bool:
+    """Scan the completions of a partial subset by need more view
+    positions from start to end - 1, in lexicographic order.  prefix and
+    suffix are its labels before start and from end on; mask, cover and
+    ones/twos are its view mask, difference cover and seed covers (the
+    seed-test masks met at least once, and at least twice).  True when
+    the scan's stop fired."""
+    columns, bits, hits, every, seed_hits, seed_all, partners, stop, scan = context
+    if need > 1:
+        for pos in range(start, end - need + 1):
+            if partners[pos] & mask:
+                scan.pair_skips += comb(end - pos - 1, need - 1)
+                continue
+            h = seed_hits[pos]
+            if _extend(
+                context, pos + 1, end, need - 1, prefix + (columns[pos],), suffix,
+                mask | bits[pos], cover | hits[pos], ones | h, twos | ones & h,
+            ):
+                return True
+        return False
     checked = seed_skips = pair_skips = 0
-    for subset, bits in zip(
-        iter_subsets_colex(columns, size), iter_subsets_colex(column_bits, size)
-    ):
-        mask = sum(bits)
-        if pair_masks and any(pm & mask == pm for pm in pair_masks):
+    stopped = False
+    for pos in range(start, end):
+        if partners[pos] & mask:
             pair_skips += 1
-            continue
-        if seeds and not seeds.isdisjoint(map(mask.__xor__, bits)):
+        elif (twos | ones & seed_hits[pos]) != seed_all:
             seed_skips += 1
-            continue
-        checked += 1
-        if reduce(or_, map(hits.__getitem__, subset), 0) == every_mask:
-            found.append(subset)
-            if stop is not None and stop(subset):
-                return _Scan(found, subset, checked, seed_skips, pair_skips)
-    return _Scan(found, None, checked, seed_skips, pair_skips)
+        else:
+            checked += 1
+            if cover | hits[pos] == every:
+                subset = prefix + (columns[pos],) + suffix
+                scan.tests.append(subset)
+                if stop is not None and stop(subset):
+                    scan.hit, stopped = subset, True
+                    break
+    scan.checked += checked
+    scan.seed_skips += seed_skips
+    scan.pair_skips += pair_skips
+    return stopped
 
 
 def _search_local(
@@ -362,11 +471,7 @@ def _search_local(
     # skipped.  A free column paired with a mandatory column is useless
     # inside classes (the mandatory column is constant there), which the
     # per-class pairing already captures, so only view columns appear here.
-    pair_masks = (
-        [class_set.mask(pair) for pair in paired_view_columns(class_set)]
-        if config.pair_prune
-        else []
-    )
+    partners = _partner_masks(class_set) if config.pair_prune else None
     verdicts: dict[ColumnSet, DeadendCheck] = {}
 
     def deadend(columns: ColumnSet) -> DeadendCheck:
@@ -392,8 +497,8 @@ def _search_local(
         scan = _scan_size(
             class_set,
             length,
-            _seeds_for(class_set, length, config.seed_prune),
-            pair_masks,
+            config.seed_prune,
+            partners,
             (lambda test: True) if config.first_only else None,
         )
         candidates += scan.checked
@@ -408,13 +513,7 @@ def _search_local(
                 k=length - 1, p=2, n=n_free + t_ob, t_ob=t_ob, t0=t_ob + length
             )
             seeded = config.seed_prune and cycle_cost.chosen == "z2"
-            sweep = _scan_size(
-                class_set,
-                length - 1,
-                _seeds_for(class_set, length - 1, seeded),
-                [],
-                lambda test: True,
-            )
+            sweep = _scan_size(class_set, length - 1, seeded, None, lambda test: True)
             sweep_checked += sweep.checked
             if sweep.hit is None:
                 refuted = max(refuted, length - 1)
@@ -427,7 +526,7 @@ def _search_local(
             reason = "skipped subset hid a non-dead-end test"
         # A paired-column skip may hide an earlier non-dead-end test.
         if scan.pair_skips:
-            rescan = _scan_size(class_set, length, set(), [], not_deadend)
+            rescan = _scan_size(class_set, length, False, None, not_deadend)
             sweep_checked += rescan.checked
             if rescan.hit is not None:
                 target = rescan.hit

@@ -189,6 +189,10 @@ class TestEnumerate:
                 "columns: 1 2 4\nmandatory: 2 3",
                 "line 2: 'mandatory:' label(s) 2 are also in 'columns:'",
             ),
+            (
+                "columns: 1 2 4\nparent-rows: many",
+                "line 2: 'parent-rows:' must be an integer, got 'many'",
+            ),
         ],
     )
     def test_class_set_bad_header_exit_1(self, capsys, tmp_path, header, message):

@@ -206,6 +206,30 @@ class TestClassSetParsing:
             parse_class_set(header + "\nclass 0\n1: 010\n2: 100\n")
         assert str(info.value) == message
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("parent-rows: many\nclass 0\n1: 01\n2: 10",
+             "line 2: 'parent-rows:' must be an integer, got 'many'"),
+            ("parent-rows: 0\nclass 0\n1: 01\n2: 10",
+             "line 2: 'parent-rows:' must be positive, got 0"),
+            ("class 0\n1: 01\n2: 10\nparent-rows: 1",
+             "line 5: 'parent-rows:' 1 is below the 2 class rows"),
+            ("parent-rows: 4\nclass 0\n1: 01\n2: 10\nclass 1\n3: 00\n4: 11\n5: 01",
+             "line 2: 'parent-rows:' 4 is below the 5 class rows"),
+            ("class 0\nx: 01\n2: 10", "line 3: row label must be an integer, got 'x'"),
+            ("class 0\n1: 01\n-2: 10", "line 4: row label must be positive, got -2"),
+        ],
+    )
+    def test_rejects_bad_counts_and_labels(self, text, message):
+        with pytest.raises(MatrixFormatError) as info:
+            parse_class_set("columns: 1 2\n" + text + "\n")
+        assert str(info.value) == message
+
+    def test_parent_rows_may_equal_class_rows(self):
+        cs = parse_class_set("columns: 1 2\nparent-rows: 2\nclass 0\n1: 01\n2: 10\n")
+        assert cs.total_rows == 2
+
     def test_mask(self, m8):
         assert m8.mask((1,)) == 0b1000
         assert m8.mask((9,)) == 0b0001

@@ -1,0 +1,281 @@
+"""The depth-first subset scan against a reference scan.
+
+search._scan_size walks the subsets of one size with incremental covers
+and tests seeds with the triple masks (or, above a triple cap, with the
+complements of the multiplicity seeds).  The reference here enumerates
+the same order with iter_subsets_colex, tests seeds by probing each
+candidate's one-smaller submasks in seed_masks, pairs by covering a
+paired-column mask, and local tests by scanning rows (first_collision).
+Both must agree on the tests found, the hit, and every counter.
+"""
+
+import gc
+import random
+from itertools import combinations
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from conftest import random_matrix
+
+import mintest.search as search
+from mintest import (
+    ClassSet,
+    ClassView,
+    SearchConfig,
+    class_views,
+    enumerate_minimal_tests,
+    iter_subsets_colex,
+    paired_view_columns,
+    partition_by_mandatory,
+    seed_masks,
+)
+from mintest.pruning import first_collision
+from mintest.search import _local_verdict, _partner_masks, _scan_size
+
+from test_difference_masks import class_sets
+
+
+def reference_scan(class_set, size, seeds, pairs, stop=None):
+    """(tests, hit, checked, seed_skips, pair_skips) of one pruned scan."""
+    seed_set = seed_masks(class_set, size - 1) if seeds and size >= 2 else set()
+    pair_masks = (
+        [class_set.mask(p) for p in paired_view_columns(class_set)] if pairs else []
+    )
+    tests = []
+    checked = seed_skips = pair_skips = 0
+    for subset in iter_subsets_colex(class_set.columns, size):
+        mask = class_set.mask(subset)
+        bits = [class_set.bit_of[c] for c in subset]
+        if any(pm & mask == pm for pm in pair_masks):
+            pair_skips += 1
+        elif any(mask ^ bit in seed_set for bit in bits):
+            seed_skips += 1
+        else:
+            checked += 1
+            if first_collision(class_set, subset) is None:
+                tests.append(subset)
+                if stop is not None and stop(subset):
+                    return tests, subset, checked, seed_skips, pair_skips
+    return tests, None, checked, seed_skips, pair_skips
+
+
+def kernel_scan(class_set, size, seeds, pairs, stop=None):
+    partners = _partner_masks(class_set) if pairs else None
+    scan = _scan_size(class_set, size, seeds, partners, stop)
+    return scan.tests, scan.hit, scan.checked, scan.seed_skips, scan.pair_skips
+
+
+def stops(class_set):
+    return {
+        "none": None,
+        "first": lambda test: True,
+        "first-not-deadend": lambda test: not _local_verdict(class_set, test).ok,
+    }
+
+
+def assert_scans_agree(class_set):
+    """Returns the scans' (seed, pair) skip totals and hits seen."""
+    seen = {"seed": 0, "pair": 0, "hit": 0}
+    for size in range(len(class_set.columns) + 2):
+        for seeds in (True, False):
+            for pairs in (True, False):
+                for name, stop in stops(class_set).items():
+                    got = kernel_scan(class_set, size, seeds, pairs, stop)
+                    want = reference_scan(class_set, size, seeds, pairs, stop)
+                    assert got == want, (size, seeds, pairs, name)
+                    seen["seed"] += got[3]
+                    seen["pair"] += got[4]
+                    seen["hit"] += got[1] is not None
+    return seen
+
+
+def random_class_set(rng, width, sizes, paired=0):
+    """Classes of distinct random rows over view columns 1..width; the last
+    `paired` columns copy or complement an earlier column, with the
+    polarity drawn per class."""
+    free = width - paired
+    sources = [rng.randrange(free) for _ in range(paired)]
+    views = []
+    label = 1
+    for i, size in enumerate(sizes):
+        flips = [rng.randrange(2) for _ in range(paired)]
+        rows = []
+        for value in rng.sample(range(1 << free), size):
+            for source, flip in zip(sources, flips):
+                value = value << 1 | (value >> (free - 1 - source) & 1) ^ flip
+            rows.append(value)
+        views.append(
+            ClassView(
+                name=f"M{i + 1}",
+                key=(),
+                row_labels=tuple(range(label, label + size)),
+                rows=tuple(rows),
+            )
+        )
+        label += size
+    return ClassSet(columns=tuple(range(1, width + 1)), classes=tuple(views))
+
+
+def seeded_class_sets():
+    out = []
+    for seed in range(6):
+        rng = random.Random(seed)
+        out.append(random_class_set(rng, 7, [rng.randint(12, 30)]))
+        out.append(random_class_set(rng, 8, [rng.randint(3, 7) for _ in range(6)], 2))
+        out.append(random_class_set(rng, 7, [rng.randint(8, 20), 4, 3], 1))
+    return out
+
+
+SEEDED = seeded_class_sets()
+
+
+@pytest.fixture(params=["triples", "fallback"])
+def seed_source(request, monkeypatch):
+    if request.param == "fallback":
+        monkeypatch.setattr(search, "_TRIPLE_MASK_CAP", 0)
+    return request.param
+
+
+class TestKernelAgainstReference:
+    def test_seeded_class_sets(self, seed_source):
+        totals = {"seed": 0, "pair": 0, "hit": 0}
+        for cs in SEEDED:
+            for key, value in assert_scans_agree(cs).items():
+                totals[key] += value
+        assert all(totals.values()), totals  # every path was exercised
+
+    def test_no_class_of_three_rows(self, m8, seed_source):
+        assert max(v.size for v in m8.classes) < 3
+        cs = random_class_set(random.Random(1), 6, [2] * 9, 1)
+        for class_set in (m8, cs):
+            assert class_set.triple_masks == ()
+            assert assert_scans_agree(class_set)["seed"] == 0
+
+    def test_identical_projected_rows(self, q25, seed_source):
+        # q25's classes on a few columns: rows of a class coincide
+        partition = partition_by_mandatory(q25, (5, 8, 10))
+        for columns in ((1, 2), (1, 2, 4), (2, 3, 6)):
+            cs = class_views(q25, partition, columns=columns)
+            assert any(len(set(v.rows)) < v.size for v in cs.classes)
+            assert_scans_agree(cs)
+
+    def test_partitioned_fixture(self, q25, seed_source):
+        cs = class_views(q25, partition_by_mandatory(q25, (5, 8, 10)))
+        seen = assert_scans_agree(cs)
+        assert seen["seed"] and seen["hit"]
+
+    @settings(max_examples=60, deadline=None)
+    @given(class_sets(), st.booleans())
+    def test_hypothesis(self, class_set, fallback):
+        cap = search._TRIPLE_MASK_CAP
+        search._TRIPLE_MASK_CAP = 0 if fallback else cap
+        try:
+            assert_scans_agree(class_set)
+        finally:
+            search._TRIPLE_MASK_CAP = cap
+
+
+def test_single_row_classes_make_every_set_a_test():
+    cs = ClassSet(
+        columns=(1, 2, 3),
+        classes=tuple(ClassView(f"M{i}", (), (i,), (i,)) for i in (1, 2)),
+    )
+    assert cs.difference_masks == ()
+    for size in range(4):
+        scan = _scan_size(cs, size, True, None)
+        assert scan.tests == list(iter_subsets_colex(cs.columns, size))
+    assert_scans_agree(cs)
+
+
+@pytest.mark.parametrize("rows,fallback", [(85, False), (86, True)])
+def test_seed_source_switches_at_the_triple_cap(monkeypatch, rows, fallback):
+    # C(85,3) = 98,770 and C(86,3) = 102,340 row triples
+    calls = []
+    monkeypatch.setattr(
+        search, "seed_masks", lambda cs, k: calls.append(k) or seed_masks(cs, k)
+    )
+    cs = random_class_set(random.Random(rows), 8, [rows])
+    assert (cs.triple_count > search._TRIPLE_MASK_CAP) == fallback
+    assert kernel_scan(cs, 3, True, False) == reference_scan(cs, 3, True, False)
+    assert calls == ([2] if fallback else [])
+
+
+def met_at_most_once(class_set, mask):
+    return any((mask & t).bit_count() <= 1 for t in class_set.triple_masks)
+
+
+def contains_seed(class_set, subset):
+    mask = class_set.mask(subset)
+    seeds = seed_masks(class_set, len(subset) - 1)
+    return any(mask ^ class_set.bit_of[c] in seeds for c in subset)
+
+
+def assert_triple_masks(class_set):
+    """The triple masks are the minimal triple unions, their hit sets are
+    right, and "some mask met at most once" is "contains a seed"."""
+    masks = class_set.triple_masks
+    unions = {
+        (a ^ b) | (a ^ c)
+        for view in class_set.classes
+        for a, b, c in combinations(view.rows, 3)
+    }
+    assert set(masks) == {
+        u for u in unions if not any(v & u == v and v != u for v in unions)
+    }
+    assert list(masks) == sorted(masks, key=lambda m: (m.bit_count(), m))
+    for c, hits in class_set.triple_hits.items():
+        assert hits == sum(
+            1 << i for i, m in enumerate(masks) if m & class_set.bit_of[c]
+        )
+    for k in range(1, len(class_set.columns) + 1):
+        for subset in combinations(class_set.columns, k):
+            mask = class_set.mask(subset)
+            assert met_at_most_once(class_set, mask) == contains_seed(
+                class_set, subset
+            ), subset
+
+
+class TestTripleMasks:
+    def test_seeded_class_sets(self):
+        for cs in SEEDED:
+            assert_triple_masks(cs)
+
+    def test_fixtures(self, q25, m8):
+        cs = class_views(q25, partition_by_mandatory(q25, (5, 8, 10)))
+        assert cs.triple_count == 1 + 10 + 10 + 10 + 4
+        assert_triple_masks(cs)
+        assert_triple_masks(m8)
+
+    @settings(max_examples=100, deadline=None)
+    @given(class_sets())
+    def test_hypothesis(self, class_set):
+        assert_triple_masks(class_set)
+
+
+def test_search_leaves_no_garbage_cycles():
+    """A scan must not leave reference cycles behind: thousands of them
+    per workload raise peak memory until the collector runs."""
+    matrices = [
+        random_matrix(
+            seed,
+            rows=(20, 24, 30)[seed % 3],
+            cols=(10, 12)[seed // 3 % 2],
+            density=(0.3, 0.5, 0.7)[seed // 6 % 3],
+        )
+        for seed in range(60)
+    ]
+    configs = (
+        SearchConfig(),
+        SearchConfig(seed_prune=False, pair_prune=False),
+        SearchConfig(first_only=True),
+    )
+    gc.collect()
+    gc.disable()
+    try:
+        for config in configs:
+            for matrix in matrices:
+                enumerate_minimal_tests(matrix, config)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
