@@ -13,7 +13,9 @@ CSV schema (one line per record):
 subsets_total is the number of subsets the unpruned search examined,
 subsets_pruned is how many of those the pruned search avoided.  Under
 deterministic mode the ms_* columns are written as 0.000 and the optional
-timestamp comment is suppressed, so reruns are byte-identical.
+timestamp comment is suppressed, so reruns are byte-identical.  The
+unpruned search's time (ms_search_unpruned) is kept on the record for the
+summary's search-time ratio, not written to the CSV.
 """
 
 from __future__ import annotations
@@ -74,6 +76,7 @@ class ExperimentRecord:
     subsets_checked_without: int = 0
     ms_analyze: float = 0.0
     ms_search: float = 0.0
+    ms_search_unpruned: float = 0.0
     ms_oracle: float = 0.0
     mismatch: bool = False
     error: str | None = None
@@ -147,6 +150,7 @@ def bench_matrix(
         subsets_checked_without=bare.stats.subsets_checked,
         ms_analyze=(t1 - t0) * 1000.0,
         ms_search=(t2 - t1) * 1000.0,
+        ms_search_unpruned=(t3 - t2) * 1000.0,
         ms_oracle=ms_oracle,
         mismatch=mismatch,
     )
@@ -194,13 +198,18 @@ def run_benchmark(config: StreamConfig) -> BenchResult:
         records = [_run_one(j) for j in jobs]
     records.sort(key=lambda r: r.index)
     if config.deterministic:
-        records = [
-            replace(r, ms_analyze=0.0, ms_search=0.0, ms_oracle=0.0) for r in records
-        ]
+        records = [untimed(r) for r in records]
     return BenchResult(
         records=tuple(records),
         mismatches=sum(1 for r in records if r.mismatch),
         failures=sum(1 for r in records if r.error),
+    )
+
+
+def untimed(record: ExperimentRecord) -> ExperimentRecord:
+    """The record with every timing zeroed, as deterministic mode writes it."""
+    return replace(
+        record, ms_analyze=0.0, ms_search=0.0, ms_search_unpruned=0.0, ms_oracle=0.0
     )
 
 
@@ -242,11 +251,18 @@ def csv_text(result: BenchResult, deterministic: bool) -> str:
 
 
 def summarize(result: BenchResult) -> dict:
-    """Aggregate summary: heuristic error histogram and pruning speedup."""
+    """Aggregate summary: heuristic error histogram and pruning speedup,
+    in subsets checked and in search time (unpruned over pruned; None when
+    no record was timed, as under deterministic mode)."""
     errors: dict[int, int] = {}
     speedups: list[float] = []
+    time_ratios: list[float] = []
     for r in result.records:
-        if r.error or r.exact_t0 is None:
+        if r.error:
+            continue
+        if r.ms_search:
+            time_ratios.append(r.ms_search_unpruned / r.ms_search)
+        if r.exact_t0 is None:
             continue
         err = r.heuristic_t0 - r.exact_t0
         errors[err] = errors.get(err, 0) + 1
@@ -259,5 +275,8 @@ def summarize(result: BenchResult) -> dict:
         "heuristic_error_histogram": {str(k): errors[k] for k in sorted(errors)},
         "mean_subset_ratio": (
             round(sum(speedups) / len(speedups), 3) if speedups else None
+        ),
+        "mean_search_time_ratio": (
+            round(sum(time_ratios) / len(time_ratios), 3) if time_ratios else None
         ),
     }

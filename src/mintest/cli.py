@@ -13,7 +13,15 @@ import json
 import sys
 from dataclasses import asdict
 
-from .bench import BenchResult, StreamConfig, bench_matrix, csv_text, run_benchmark, summarize
+from .bench import (
+    BenchResult,
+    StreamConfig,
+    bench_matrix,
+    csv_text,
+    run_benchmark,
+    summarize,
+    untimed,
+)
 from .fixtures import fixture_text, list_fixtures
 from .generate import GenerationError, GeneratorConfig, generate_matrix
 from .heuristic import column_pair_stats, estimate_length, union_pair_stats
@@ -434,9 +442,7 @@ def _cmd_bench(args) -> int:
         matrix = load_fixture_matrix(args.fixture)
         record = bench_matrix(matrix, oracle_ceiling=args.oracle_ceiling)
         if args.deterministic:
-            from dataclasses import replace
-
-            record = replace(record, ms_analyze=0.0, ms_search=0.0, ms_oracle=0.0)
+            record = untimed(record)
         result = BenchResult(
             records=(record,),
             mismatches=1 if record.mismatch else 0,

@@ -165,7 +165,8 @@ class ClassSet:
         cover every position: k ORs of ints with one bit per mask, in
         place of a pass over the masks or the rows.
         """
-        return self._by_label(self._differences[1])
+        hits = self._differences[1]
+        return {c: hits[bit] for c, bit in self.bit_of.items()}
 
     @property
     def triple_count(self) -> int:
@@ -174,17 +175,6 @@ class ClassSet:
         return sum(comb(view.size, 3) for view in self.classes)
 
     @cached_property
-    def _triples(self) -> tuple[tuple[int, ...], dict[int, int]]:
-        unions: set[int] = set()
-        for view in self.classes:
-            rows = view.rows
-            for i, row in enumerate(rows):
-                diffs = [row ^ other for other in rows[i + 1 :]]
-                for j, diff in enumerate(diffs):
-                    unions.update(map(diff.__or__, diffs[j + 1 :]))
-        return _minimal_masks(unions, len(self.columns))
-
-    @property
     def triple_masks(self) -> tuple[int, ...]:
         """The inclusion-minimal masks (a ^ b) | (a ^ c) over the row
         triples inside the classes, ordered as difference_masks.
@@ -196,17 +186,38 @@ class ClassSet:
         often, so the minimal ones decide.  Empty when no class has three
         rows.  The build takes triple_count ORs.
         """
-        return self._triples[0]
+        unions: set[int] = set()
+        for view in self.classes:
+            rows = view.rows
+            for i, row in enumerate(rows):
+                diffs = [row ^ other for other in rows[i + 1 :]]
+                for j, diff in enumerate(diffs):
+                    unions.update(map(diff.__or__, diffs[j + 1 :]))
+        return _minimal_masks(unions, len(self.columns))[0]
+
+    # These tuples are built from lists: tuple() of an iterator allocates
+    # ten slots and shrinks, so each tuple freed later would land in the
+    # free list of its final size and stay there, raising peak memory.
+    @cached_property
+    def difference_positions(self) -> tuple[tuple[int, ...], ...]:
+        """The view positions each difference mask holds, mask by mask."""
+        return tuple([self.positions(m) for m in self.difference_masks])
 
     @cached_property
-    def triple_hits(self) -> dict[int, int]:
-        """Original column label -> the triple masks it meets, as a bit
-        set over their positions (bit i for triple_masks[i])."""
-        return self._by_label(self._triples[1])
+    def triple_positions(self) -> tuple[tuple[int, ...], ...]:
+        """The view positions each triple mask holds, mask by mask."""
+        return tuple([self.positions(m) for m in self.triple_masks])
 
-    def _by_label(self, hits: dict[int, int]) -> dict[int, int]:
-        """Per-bit hit sets of _minimal_masks keyed by column label."""
-        return {c: hits[bit] for c, bit in self.bit_of.items()}
+    def positions(self, mask: int) -> tuple[int, ...]:
+        """The view positions (0 for the first view column) of a mask, in
+        order: one step per set bit, highest first."""
+        width = len(self.columns)
+        out = []
+        while mask:
+            top = mask.bit_length()
+            out.append(width - top)
+            mask ^= 1 << top - 1
+        return tuple(out)
 
     def mask(self, columns: Iterable[int]) -> int:
         """Bit mask of view positions for a set of original column labels."""

@@ -8,7 +8,8 @@ Three independent facts shrink the search, all phrased over a ClassSet:
   inclusion-minimal one, so a set is a local test iff it meets each of
   the class set's few minimal differences (ClassSet.difference_masks).
   With each column's hits kept as a bit set over those masks
-  (ClassSet.column_hits), that is k ORs per set, with no rows indexed.
+  (ClassSet.column_hits), is_local_test takes k ORs per set, with no rows
+  indexed; the search decides a whole size at once (search._scan_size).
   Where a refutation must name its colliding pair (all_k_subsets_fail),
   first_collision finds it by scanning rows.
 
@@ -21,9 +22,9 @@ Three independent facts shrink the search, all phrased over a ClassSet:
   without checking.  Three rows a, b, c agree on a column set exactly
   when it misses (a^b)|(a^c), so a (k+1)-subset contains a k-seed iff it
   meets one of these triple masks at most once; the search tests that
-  with a ones/twos cover over the class set's minimal triple masks
-  (ClassSet.triple_masks, search._seed_cover).  seed_masks lists the
-  seeds themselves by partition refinement: a depth-first search over
+  over the class set's minimal triple masks (ClassSet.triple_masks) for
+  all candidates of a size at once (search._scan_size).  seed_masks lists
+  the seeds themselves by partition refinement: a depth-first search over
   the columns in view order keeps, per node, only the row blocks of >= 3
   rows that agree on the columns chosen so far, and stops descending
   once no such block is left.  It serves multiplicity_seeds, and the

@@ -24,29 +24,30 @@ configuration walks the same sequence of sizes and reports identical
 results.  Each dead-end verdict is computed once per search.
 
 Every local decision reads off the class set's minimal within-class row
-differences (ClassSet.difference_masks): a subset is a local test iff its
-columns' hit sets (ClassSet.column_hits) cover every mask, and a column
-of a test is redundant iff no mask meets the test in that column alone
-(_local_verdict, the one local dead-end verdict).  The seed test reads
-off the minimal row-triple masks the same way: a subset contains a
-multiplicity seed iff its columns meet some triple mask at most once, a
-ones/twos cover over ClassSet.triple_hits; above _TRIPLE_MASK_CAP row
-triples the masks are the complements of the seeds of the scanned size
-(_seed_cover).  Every subset scan is one depth-first kernel (_scan_size,
-_extend) that visits the subsets in iter_subsets_colex order and carries
-the covers along each prefix, so a candidate costs O(1) int operations.
-No rows are indexed during the scan or the correction loop.  Witness
-pairs are found only on the full matrix: is_deadend certifies every
-reported test with one.
+differences (ClassSet.difference_masks): a subset is a local test iff it
+meets every mask, and a column of a test is redundant iff no mask meets
+the test in that column alone (_local_verdict, the one local dead-end
+verdict).  The seed test reads off the minimal row-triple masks the same
+way: a subset contains a multiplicity seed iff it meets some triple mask
+(ClassSet.triple_masks) at most once; above _TRIPLE_MASK_CAP row triples
+the masks are the complements of the seeds of the scanned size.  Every
+subset scan is one bit-sliced kernel (_scan_size): the candidates of one
+size are numbered in iter_subsets_colex order, each view position keeps
+the set of ranks of the candidates holding it as one big int
+(_rank_sets), and a size is decided with a fixed number of big-int
+operations per mask rather than per candidate, in blocks of at most
+_BLOCK ranks (_blocks).  No rows are indexed during the scan or the
+correction loop.  Witness pairs are found only on the full matrix:
+is_deadend certifies every reported test with one.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
-from functools import partial
+from functools import lru_cache, partial
 from math import comb
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .heuristic import (
     HeuristicEstimate,
@@ -311,26 +312,74 @@ class _Scan:
     pair_skips: int = 0
 
 
-def _seed_cover(class_set: ClassSet, size: int) -> tuple[list[int], int]:
-    """Masks of the seed test of one scanned size: per view column the
-    bit set of the masks it meets, and the set of all of them.
+# A scan over more subsets than this splits into contiguous rank blocks, so
+# no rank set holds more than _BLOCK bits.
+_BLOCK = 1 << 15
 
-    A size-k subset contains a (k-1)-seed iff it meets some mask at most
-    once.  The masks are the class set's triple masks, or, above
-    _TRIPLE_MASK_CAP triples, the view complements of the (k-1)-seeds
-    themselves: a k-set M contains a (k-1)-set S iff M meets ~S at most
-    once.
+
+@lru_cache(maxsize=256)
+def _rank_sets(width: int, size: int, lex: bool) -> tuple[int, ...]:
+    """Per position of range(width), the ranks of the size-subsets that
+    hold it, as a bit set: the subsets numbered in scan order (that of
+    iter_subsets_colex: by largest position, then lexicographically), or in
+    lexicographic order (that of combinations) with lex.
+
+    In scan order the subsets of range(width - 1) come first, then those
+    holding the last position, their other positions in lexicographic
+    order; in lexicographic order those holding position 0 come first.
+    So both build on width - 1.  The cache holds at most 256 tables of
+    width ints of at most _BLOCK bits each.
     """
-    columns = class_set.columns
-    if class_set.triple_count <= _TRIPLE_MASK_CAP:
-        hits = class_set.triple_hits
-        return [hits[c] for c in columns], (1 << len(class_set.triple_masks)) - 1
-    seeds = seed_masks(class_set, size - 1)
-    # one bit per seed, set where the seed lacks the column
-    return [
-        int("0" + "".join("0" if s & class_set.bit_of[c] else "1" for s in seeds), 2)
-        for c in columns
-    ], (1 << len(seeds)) - 1
+    if not 0 < size <= width:
+        return (0,) * width
+    if lex:
+        head = comb(width - 1, size - 1)
+        with_first = _rank_sets(width - 1, size - 1, True)
+        without = _rank_sets(width - 1, size, True)
+        return ((1 << head) - 1,) + tuple(
+            a | b << head for a, b in zip(with_first, without)
+        )
+    below = comb(width - 1, size)
+    with_last = (1 << comb(width - 1, size - 1)) - 1
+    return tuple(
+        a | b << below
+        for a, b in zip(
+            _rank_sets(width - 1, size, False), _rank_sets(width - 1, size - 1, True)
+        )
+    ) + (with_last << below,)
+
+
+def _blocks(width: int, size: int) -> Iterator[tuple[Sequence[int], int]]:
+    """The size-subsets of range(width) in scan order, as contiguous
+    blocks of at most _BLOCK ranks: per block the rank set of each
+    position, ranks counted from the block's start, and the set of all
+    its ranks.  A larger scan splits by largest position, then by
+    smallest position, and a position every subset of a block holds has
+    every rank of it."""
+    count = comb(width, size)
+    if count <= _BLOCK:
+        yield _rank_sets(width, size, False), (1 << count) - 1
+        return
+    for last in range(size - 1, width):
+        yield from _lex_blocks(width, (last,), 0, last, size - 1)
+
+
+def _lex_blocks(
+    width: int, fixed: tuple[int, ...], start: int, end: int, need: int
+) -> Iterator[tuple[Sequence[int], int]]:
+    """Blocks of the subsets made of the fixed positions and need more
+    positions from start to end - 1, the latter in lexicographic order."""
+    count = comb(end - start, need)
+    if count > _BLOCK:
+        yield from _lex_blocks(width, fixed + (start,), start + 1, end, need - 1)
+        yield from _lex_blocks(width, fixed, start + 1, end, need)
+        return
+    every = (1 << count) - 1
+    sets = [0] * width
+    for pos in fixed:
+        sets[pos] = every
+    sets[start:end] = _rank_sets(end - start, need, True)
+    yield sets, every
 
 
 def _partner_masks(class_set: ClassSet) -> list[int]:
@@ -348,6 +397,8 @@ def _scan_size(
     seeds: bool,
     partners: list[int] | None,
     stop: Callable[[ColumnSet], bool] | None = None,
+    *,
+    count_all: bool = False,
 ) -> _Scan:
     """Local tests of the given size, in the order of iter_subsets_colex,
     under pruning.
@@ -355,101 +406,87 @@ def _scan_size(
     A candidate holding a column and one of its partners (partners: per
     view column, the bits of its paired columns) is skipped; with seeds
     and size >= 2 one containing a multiplicity seed is a proven non-test
-    and skipped (_seed_cover); every other candidate is checked.  Only the
-    paired-column skips may hide tests, and only non-dead-end ones.  The
-    scan ends at the first test for which stop is true and returns it as
-    hit.  The size-L enumeration, the (L-1) refutation sweep and the
-    unpruned rescan for a jump target all run here.
+    and skipped; every other candidate is checked.  Only the paired-column
+    skips may hide tests, and only non-dead-end ones.  The scan ends at
+    the first test for which stop is true and returns it as hit.  The
+    size-L enumeration, the (L-1) refutation sweep and the unpruned rescan
+    for a jump target all run here.
 
-    The scan is a depth-first walk that fixes the last column, then
-    extends a prefix from the left (_extend), carrying the view mask, the
-    difference-mask cover and the seed test's ones/twos cover, so each
-    candidate costs O(1) int operations.  A prefix holding a paired
-    column pair skips all its completions in one step.
+    The scan is bit-sliced: it numbers the candidates in scan order and
+    decides all of them at once with big-int operations over the rank
+    sets of the view positions (_blocks), a fixed number per mask rather
+    than per candidate.  The paired candidates are those holding both
+    columns of a pair, the seed-free ones meet every seed-test mask twice
+    (the triple masks, or above _TRIPLE_MASK_CAP triples the view
+    complements of the (k-1)-seeds: a k-set contains a (k-1)-set S iff it
+    meets ~S at most once), and the tests meet every difference mask.  A
+    k-subset of w positions meets every mask of more than w-k positions,
+    and twice every one of more than w-k+1, so those masks are skipped.
+    The counters are popcounts, cut at the rank of the test the stop
+    fired on; with count_all they cover the whole size, and only the list
+    of tests ends at the hit.
     """
     columns = class_set.columns
     width = len(columns)
     scan = _Scan([])
     if not 0 <= size <= width:
         return scan
-    every = (1 << len(class_set.difference_masks)) - 1
-    if size == 0:  # the empty set: a test only when no class has two rows
-        scan.checked = 1
-        if every == 0:
-            scan.tests.append(())
-            scan.hit = () if stop is not None and stop(()) else None
-        return scan
-    hits = [class_set.column_hits[c] for c in columns]
-    seed_hits, seed_all = (
-        _seed_cover(class_set, size) if seeds and size >= 2 else ([0] * width, 0)
-    )
-    bits = [class_set.bit_of[c] for c in columns]
-    context = (
-        columns, bits, hits, every, seed_hits, seed_all,
-        partners or [0] * width, stop, scan,
-    )
-    if size == 1:
-        _extend(context, 0, width, 1, (), (), 0, 0, 0, 0)
-        return scan
-    for last in range(size - 1, width):
-        if _extend(
-            context, 0, last, size - 1, (), (columns[last],),
-            bits[last], hits[last], seed_hits[last], 0,
-        ):
+    pairs = [
+        (a, b)
+        for a, mask in enumerate(partners or ())
+        for b in class_set.positions(mask)
+        if a < b
+    ]
+    triples: Iterable[tuple[int, ...]] = ()
+    if seeds and size >= 2:
+        if class_set.triple_count <= _TRIPLE_MASK_CAP:
+            triples = class_set.triple_positions
+        else:
+            full = (1 << width) - 1
+            triples = [
+                class_set.positions(full ^ seed)
+                for seed in seed_masks(class_set, size - 1)
+            ]
+    differences = class_set.difference_positions
+    for sets, every in _blocks(width, size):
+        paired = 0
+        for a, b in pairs:
+            paired |= sets[a] & sets[b]
+        free = clean = every ^ paired
+        for positions in triples:
+            if len(positions) > width - size + 1 or not clean:
+                break
+            once = twice = 0
+            for pos in positions:
+                twice |= once & sets[pos]
+                once |= sets[pos]
+            clean &= twice
+        tests = clean if scan.hit is None else 0
+        for positions in differences:
+            if len(positions) > width - size or not tests:
+                break
+            hit = 0
+            for pos in positions:
+                hit |= sets[pos]
+            tests &= hit
+        cut = every
+        while tests:
+            low = tests & -tests
+            # from a list, for the reason given at ClassSet.difference_positions
+            subset = tuple([c for c, s in zip(columns, sets) if s & low])
+            scan.tests.append(subset)
+            if stop is not None and stop(subset):
+                scan.hit = subset
+                if not count_all:
+                    cut = (low << 1) - 1
+                break
+            tests ^= low
+        scan.checked += (clean & cut).bit_count()
+        scan.seed_skips += ((free ^ clean) & cut).bit_count()
+        scan.pair_skips += (paired & cut).bit_count()
+        if scan.hit is not None and not count_all:
             break
     return scan
-
-
-def _extend(
-    context: tuple,
-    start: int,
-    end: int,
-    need: int,
-    prefix: ColumnSet,
-    suffix: ColumnSet,
-    mask: int,
-    cover: int,
-    ones: int,
-    twos: int,
-) -> bool:
-    """Scan the completions of a partial subset by need more view
-    positions from start to end - 1, in lexicographic order.  prefix and
-    suffix are its labels before start and from end on; mask, cover and
-    ones/twos are its view mask, difference cover and seed covers (the
-    seed-test masks met at least once, and at least twice).  True when
-    the scan's stop fired."""
-    columns, bits, hits, every, seed_hits, seed_all, partners, stop, scan = context
-    if need > 1:
-        for pos in range(start, end - need + 1):
-            if partners[pos] & mask:
-                scan.pair_skips += comb(end - pos - 1, need - 1)
-                continue
-            h = seed_hits[pos]
-            if _extend(
-                context, pos + 1, end, need - 1, prefix + (columns[pos],), suffix,
-                mask | bits[pos], cover | hits[pos], ones | h, twos | ones & h,
-            ):
-                return True
-        return False
-    checked = seed_skips = pair_skips = 0
-    stopped = False
-    for pos in range(start, end):
-        if partners[pos] & mask:
-            pair_skips += 1
-        elif (twos | ones & seed_hits[pos]) != seed_all:
-            seed_skips += 1
-        else:
-            checked += 1
-            if cover | hits[pos] == every:
-                subset = prefix + (columns[pos],) + suffix
-                scan.tests.append(subset)
-                if stop is not None and stop(subset):
-                    scan.hit, stopped = subset, True
-                    break
-    scan.checked += checked
-    scan.seed_skips += seed_skips
-    scan.pair_skips += pair_skips
-    return stopped
 
 
 def _search_local(
@@ -494,12 +531,16 @@ def _search_local(
         visited.append(length)
         if len(visited) > n_free + 2:
             raise RuntimeError("length correction failed to terminate")
+        # found: the tests up to the first non-dead-end one, else all of
+        # them (just the first under first_only); the counters cover the
+        # whole size unless first_only.
         scan = _scan_size(
             class_set,
             length,
             config.seed_prune,
             partners,
-            (lambda test: True) if config.first_only else None,
+            (lambda test: True) if config.first_only else not_deadend,
+            count_all=not config.first_only,
         )
         candidates += scan.checked
         pruned_by_seeds += scan.seed_skips

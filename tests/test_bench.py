@@ -85,3 +85,37 @@ class TestRunBenchmark:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             run_benchmark(StreamConfig(count=1, rows=()))
+
+
+# The deterministic CSV of StreamConfig(count=6, seed=17), from before the
+# record carried the unpruned search time.
+PINNED_CSV = (
+    ",".join(CSV_COLUMNS) + "\n"
+    "9260656408219841379,10,8,0.3,3,5,5,3,0,15,0.000,0.000,0.000\n"
+    "7220676901988789713,10,8,0.5,0,4,4,4,122,126,0.000,0.000,0.000\n"
+    "6056616057409641356,10,8,0.7,0,4,5,15,107,126,0.000,0.000,0.000\n"
+    "4130155771025092611,10,8,0.3,1,6,4,1,72,112,0.000,0.000,0.000\n"
+    "318372821541199966,10,8,0.5,2,5,5,8,23,35,0.000,0.000,0.000\n"
+    "1502954475416400618,10,8,0.7,4,5,5,1,0,4,0.000,0.000,0.000\n"
+)
+
+
+class TestSearchTimeRatio:
+    def test_summary_reports_the_ratio(self):
+        result = run_benchmark(StreamConfig(count=6, seed=17))
+        assert all(r.ms_search_unpruned > 0 for r in result.records if not r.error)
+        ratio = summarize(result)["mean_search_time_ratio"]
+        assert ratio == pytest.approx(
+            sum(r.ms_search_unpruned / r.ms_search for r in result.records)
+            / len(result.records),
+            abs=1e-3,
+        )
+
+    def test_deterministic_zeroes_it_and_keeps_the_csv(self):
+        config = StreamConfig(count=6, seed=17, deterministic=True)
+        result = run_benchmark(config)
+        assert all(r.ms_search_unpruned == 0.0 for r in result.records)
+        summary = summarize(result)
+        assert "mean_search_time_ratio" in summary
+        assert summary["mean_search_time_ratio"] is None
+        assert csv_text(result, deterministic=True) == PINNED_CSV
