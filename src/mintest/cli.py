@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 from dataclasses import asdict
+from itertools import product
 
 from .bench import (
     BenchResult,
@@ -22,7 +23,7 @@ from .bench import (
     summarize,
     untimed,
 )
-from .fixtures import fixture_text, list_fixtures
+from .fixtures import UnknownFixtureError, fixture_text, list_fixtures
 from .generate import GenerationError, GeneratorConfig, generate_matrix
 from .heuristic import column_pair_stats, estimate_length, union_pair_stats
 from .mandatory import (
@@ -80,6 +81,24 @@ def _load_any(source: str) -> BooleanMatrix | ClassSet:
     return parse_matrix(text)
 
 
+def _two_rows(matrix: BooleanMatrix) -> BooleanMatrix:
+    """The matrix, unless it has no row pair to separate."""
+    if matrix.row_count < 2:
+        raise MatrixFormatError("the matrix needs at least two rows")
+    return matrix
+
+
+def _generator_config(
+    rows: int, cols: int, density: float, seed: int = 0
+) -> GeneratorConfig:
+    """A generator config; a shape or density out of range is an input
+    error."""
+    try:
+        return GeneratorConfig(rows=rows, cols=cols, ones_density=density, seed=seed)
+    except ValueError as exc:
+        raise MatrixFormatError(str(exc)) from None
+
+
 def _emit(args, text: str) -> None:
     if getattr(args, "output", None):
         with open(args.output, "w", encoding="utf-8") as fh:
@@ -132,7 +151,7 @@ def _cmd_analyze(args) -> int:
     data = _load_any(args.input)
     if isinstance(data, ClassSet):
         return _analyze_class_set(args, data)
-    matrix = data
+    matrix = _two_rows(data)
     sorted_matrix = sort_rows_by_binary_value(matrix)
     mandatory = find_mandatory(sorted_matrix)
     partition = partition_by_mandatory(sorted_matrix, mandatory.columns)
@@ -293,6 +312,11 @@ def _cmd_enumerate(args) -> int:
     data = _load_any(args.input)
     config = _search_config(args)
     if isinstance(data, ClassSet):
+        if config.use_heuristic and all(view.size < 2 for view in data.classes):
+            raise MatrixFormatError(
+                "the length estimate needs a class of two or more rows; "
+                "use --no-heuristic"
+            )
         report = enumerate_local_minimal_tests(data, config)
         tests = report.integral_tests if data.mandatory else report.local_tests
         if args.report:
@@ -325,7 +349,7 @@ def _cmd_enumerate(args) -> int:
         _emit(args, "\n".join(lines))
         return EXIT_OK
 
-    report = enumerate_minimal_tests(data, config)
+    report = enumerate_minimal_tests(_two_rows(data), config)
     if args.report:
         _write_tests_csv(args.report, report.minimal_tests)
     if args.json:
@@ -362,6 +386,11 @@ def _cmd_verify(args) -> int:
         columns = tuple(int(t) for t in args.test.replace(",", " ").split())
     except ValueError:
         raise MatrixFormatError(f"bad column list {args.test!r}") from None
+    outside = [c for c in columns if not 1 <= c <= data.col_count]
+    if outside:
+        raise MatrixFormatError(
+            f"column {min(outside)} out of range 1..{data.col_count}"
+        )
     verdict = verify_test(data, columns, oracle_ceiling=args.ceiling)
     if args.json:
         _emit(args, json.dumps(asdict(verdict), indent=2, sort_keys=True))
@@ -417,9 +446,7 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    config = GeneratorConfig(
-        rows=args.rows, cols=args.cols, ones_density=args.density, seed=args.seed
-    )
+    config = _generator_config(args.rows, args.cols, args.density, args.seed)
     matrix = generate_matrix(config)
     lines = [
         f"# generated: rows={args.rows} cols={args.cols} "
@@ -449,6 +476,8 @@ def _cmd_bench(args) -> int:
             failures=0,
         )
     else:
+        for rows, cols, density in product(args.rows, args.cols, args.densities):
+            _generator_config(rows, cols, density)
         config = StreamConfig(
             count=args.count,
             rows=tuple(args.rows),
@@ -557,7 +586,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (MatrixFormatError, GenerationError, ValueError) as exc:
+    except (MatrixFormatError, UnknownFixtureError, GenerationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (OracleCeilingError, SearchCeilingError) as exc:

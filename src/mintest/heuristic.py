@@ -62,6 +62,7 @@ def _stats(columns: Sequence[int], rows: Sequence[int], width: int) -> ColumnPai
         ones.append(sum((r >> shift) & 1 for r in rows))
     zeros = [m - o for o in ones]
     dist = [o * z for o, z in zip(ones, zeros)]
+    # Tuples from lists, for the reason given in mandatory._minimal_masks.
     return ColumnPairStats(
         columns=tuple(columns),
         row_count=m,
@@ -69,7 +70,7 @@ def _stats(columns: Sequence[int], rows: Sequence[int], width: int) -> ColumnPai
         ones=tuple(ones),
         zeros=tuple(zeros),
         distinguished=tuple(dist),
-        undistinguished=tuple(mhat - d for d in dist),
+        undistinguished=tuple([mhat - d for d in dist]),
     )
 
 
@@ -116,7 +117,7 @@ def estimate_length(stats: ColumnPairStats) -> HeuristicEstimate:
         range(len(stats.columns)),
         key=lambda i: (stats.undistinguished[i], stats.columns[i]),
     )
-    ratios = tuple(stats.undistinguished[i] / mhat for i in order)
+    ratios = [stats.undistinguished[i] / mhat for i in order]
     if not ratios or ratios[0] >= 1.0:
         raise ValueError("no column distinguishes any pair")
     threshold = 1.0 / mhat
@@ -126,31 +127,21 @@ def estimate_length(stats: ColumnPairStats) -> HeuristicEstimate:
     for r in ratios:
         beta *= r
         betas.append(beta)
-    sorted_columns = tuple(stats.columns[i] for i in order)
-    for t in range(1, len(ratios) + 1):
-        b = betas[t - 1]
-        if b * r_min <= threshold:
-            if b > threshold:
-                return HeuristicEstimate(
-                    t0=t,
-                    beta_t=b,
-                    beta_next=b * r_min,
-                    threshold=threshold,
-                    ratio_list=ratios,
-                    sorted_columns=sorted_columns,
-                    beta_sequence=tuple(betas),
-                    degenerate=False,
-                )
-            break
+    # The first t whose next product drops to the threshold; a bracket
+    # only if beta_t itself is still above it.
+    t = next((t for t, b in enumerate(betas, 1) if b * r_min <= threshold), 0)
+    degenerate = t == 0 or betas[t - 1] <= threshold
+    t0 = 1 if degenerate else t
+    # Tuples from lists, for the reason given in mandatory._minimal_masks.
     return HeuristicEstimate(
-        t0=1,
-        beta_t=betas[0],
-        beta_next=betas[0] * r_min,
+        t0=t0,
+        beta_t=betas[t0 - 1],
+        beta_next=betas[t0 - 1] * r_min,
         threshold=threshold,
-        ratio_list=ratios,
-        sorted_columns=sorted_columns,
+        ratio_list=tuple(ratios),
+        sorted_columns=tuple([stats.columns[i] for i in order]),
         beta_sequence=tuple(betas),
-        degenerate=True,
+        degenerate=degenerate,
     )
 
 

@@ -128,12 +128,7 @@ class ClassSet:
         return {c: 1 << (width - 1 - pos) for pos, c in enumerate(self.columns)}
 
     @cached_property
-    def classes_largest_first(self) -> tuple[ClassView, ...]:
-        """The classes by descending size, ties kept in class order."""
-        return tuple(sorted(self.classes, key=lambda c: -c.size))
-
-    @cached_property
-    def _differences(self) -> tuple[tuple[int, ...], dict[int, int]]:
+    def _differences(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
         diffs: set[int] = set()
         for view in self.classes:
             rows = view.rows
@@ -156,17 +151,10 @@ class ClassSet:
         """
         return self._differences[0]
 
-    @cached_property
-    def column_hits(self) -> dict[int, int]:
-        """Original column label -> the difference masks it meets, as a
-        bit set over their positions (bit i for difference_masks[i]).
-
-        A column set is a local test iff its columns' bit sets together
-        cover every position: k ORs of ints with one bit per mask, in
-        place of a pass over the masks or the rows.
-        """
-        hits = self._differences[1]
-        return {c: hits[bit] for c, bit in self.bit_of.items()}
+    @property
+    def difference_positions(self) -> tuple[tuple[int, ...], ...]:
+        """The view positions each difference mask holds, mask by mask."""
+        return self._differences[1]
 
     @property
     def triple_count(self) -> int:
@@ -175,6 +163,17 @@ class ClassSet:
         return sum(comb(view.size, 3) for view in self.classes)
 
     @cached_property
+    def _triples(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+        unions: set[int] = set()
+        for view in self.classes:
+            rows = view.rows
+            for i, row in enumerate(rows):
+                diffs = [row ^ other for other in rows[i + 1 :]]
+                for j, diff in enumerate(diffs):
+                    unions.update(map(diff.__or__, diffs[j + 1 :]))
+        return _minimal_masks(unions, len(self.columns))
+
+    @property
     def triple_masks(self) -> tuple[int, ...]:
         """The inclusion-minimal masks (a ^ b) | (a ^ c) over the row
         triples inside the classes, ordered as difference_masks.
@@ -186,27 +185,12 @@ class ClassSet:
         often, so the minimal ones decide.  Empty when no class has three
         rows.  The build takes triple_count ORs.
         """
-        unions: set[int] = set()
-        for view in self.classes:
-            rows = view.rows
-            for i, row in enumerate(rows):
-                diffs = [row ^ other for other in rows[i + 1 :]]
-                for j, diff in enumerate(diffs):
-                    unions.update(map(diff.__or__, diffs[j + 1 :]))
-        return _minimal_masks(unions, len(self.columns))[0]
+        return self._triples[0]
 
-    # These tuples are built from lists: tuple() of an iterator allocates
-    # ten slots and shrinks, so each tuple freed later would land in the
-    # free list of its final size and stay there, raising peak memory.
-    @cached_property
-    def difference_positions(self) -> tuple[tuple[int, ...], ...]:
-        """The view positions each difference mask holds, mask by mask."""
-        return tuple([self.positions(m) for m in self.difference_masks])
-
-    @cached_property
+    @property
     def triple_positions(self) -> tuple[tuple[int, ...], ...]:
         """The view positions each triple mask holds, mask by mask."""
-        return tuple([self.positions(m) for m in self.triple_masks])
+        return self._triples[1]
 
     def positions(self, mask: int) -> tuple[int, ...]:
         """The view positions (0 for the first view column) of a mask, in
@@ -241,20 +225,22 @@ class ClassSet:
 
 def _minimal_masks(
     candidates: Iterable[int], width: int
-) -> tuple[tuple[int, ...], dict[int, int]]:
-    """The inclusion-minimal masks among the candidates, and per bit of a
-    width-bit mask the bit set over their positions of the masks that
-    hold it.
+) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """The inclusion-minimal masks among the width-bit candidates, and
+    the view positions each of them holds (0 for the highest bit).
 
     Candidates are taken fewest bits first, ties by value, which is the
     order of the result.  A candidate is dropped iff some kept mask lies
-    inside it, that is has no bit outside it: ORing the kept masks' sets
-    over the candidate's clear bits then misses that mask.  Each candidate
-    costs one OR per clear bit, of ints with one bit per kept mask.
+    inside it, that is has no bit outside it.  For each bit, one int with
+    a bit per kept mask marks the kept masks holding it; ORing those over
+    the candidate's clear bits then misses that mask.  Each candidate
+    costs one OR per clear bit, and each kept mask one step per set bit,
+    which also records its positions.
     """
     full = (1 << width) - 1
     hits = {1 << b: 0 for b in range(width)}
     kept: list[int] = []
+    kept_positions: list[tuple[int, ...]] = []
     every = 0  # one bit per kept mask
     for cand in sorted(sorted(candidates), key=int.bit_count):
         outside = 0
@@ -265,13 +251,22 @@ def _minimal_masks(
             clear ^= low
         if outside != every:
             continue
-        position = 1 << len(kept)
+        flag = 1 << len(kept)
         kept.append(cand)
-        every |= position
-        for bit in hits:
-            if cand & bit:
-                hits[bit] |= position
-    return tuple(kept), hits
+        every |= flag
+        held = []
+        rest = cand
+        while rest:
+            top = rest.bit_length()
+            bit = 1 << top - 1
+            hits[bit] |= flag
+            held.append(width - top)
+            rest ^= bit
+        # From a list: tuple() of an iterator allocates ten slots and
+        # shrinks, so each tuple freed later would land in the free list
+        # of its final size and stay there, raising peak memory.
+        kept_positions.append(tuple(held))
+    return tuple(kept), tuple(kept_positions)
 
 
 def candidate_pairs(matrix: BooleanMatrix) -> tuple[RowPair, ...]:
@@ -420,11 +415,11 @@ def parse_class_set(text: str) -> ClassSet:
     ``columns`` gives the original 1-based labels of the view columns;
     each row line is ``<label>: <bits>`` over those columns.  ``mandatory``
     and ``parent-rows`` are optional context about the parent matrix.
-    Labels in ``columns`` and ``mandatory`` are distinct positive integers,
-    and no mandatory label is also a view column.  Row labels and
-    ``parent-rows`` are positive integers, and ``parent-rows`` is at least
-    the number of rows in the classes.  Class names are M1, M2, ... in
-    file order.
+    Labels in ``columns`` (at least one) and ``mandatory`` are distinct
+    positive integers, and no mandatory label is also a view column.  Row
+    labels and ``parent-rows`` are positive integers, and ``parent-rows``
+    is at least the number of rows in the classes.  Class names are M1,
+    M2, ... in file order.
     """
     columns: ColumnSet | None = None
     mandatory: ColumnSet = ()
@@ -464,6 +459,8 @@ def parse_class_set(text: str) -> ClassSet:
             continue
         if line.startswith("columns:"):
             columns = _header_labels(lineno, line)
+            if not columns:
+                raise MatrixFormatError(f"line {lineno}: 'columns:' lists no labels")
         elif line.startswith("mandatory:"):
             mandatory, mandatory_line = _header_labels(lineno, line), lineno
         elif line.startswith("parent-rows:"):

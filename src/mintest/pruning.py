@@ -7,9 +7,8 @@ Three independent facts shrink the search, all phrased over a ClassSet:
   the set misses their difference a ^ b, and every difference contains an
   inclusion-minimal one, so a set is a local test iff it meets each of
   the class set's few minimal differences (ClassSet.difference_masks).
-  With each column's hits kept as a bit set over those masks
-  (ClassSet.column_hits), is_local_test takes k ORs per set, with no rows
-  indexed; the search decides a whole size at once (search._scan_size).
+  is_local_test takes one AND per mask, with no rows indexed; the search
+  decides a whole size at once (search._scan_size).
   Where a refutation must name its colliding pair (all_k_subsets_fail),
   first_collision finds it by scanning rows.
 
@@ -42,10 +41,8 @@ directly against scanning (t-2)-subsets for multiplicity seeds first.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from itertools import combinations
 from math import comb, inf
-from operator import or_
 from typing import Iterable, Iterator, Sequence
 
 from .matrix import BooleanMatrix, ColumnSet, RowPair
@@ -109,7 +106,7 @@ def first_collision(
     result is still deterministic for a fixed class set.
     """
     mask = class_set.mask(columns)
-    for view in class_set.classes_largest_first:
+    for view in sorted(class_set.classes, key=lambda c: -c.size):
         seen: dict[int, int] = {}
         for lab, row in zip(view.row_labels, view.rows):
             v = row & mask
@@ -122,10 +119,8 @@ def first_collision(
 def is_local_test(class_set: ClassSet, columns: Iterable[int]) -> bool:
     """True iff the columns separate the rows inside every class, that is
     iff together they meet every minimal within-class row difference."""
-    cols = tuple(columns)
-    class_set.mask(cols)  # rejects a column outside the view
-    covered = reduce(or_, map(class_set.column_hits.__getitem__, cols), 0)
-    return covered == (1 << len(class_set.difference_masks)) - 1
+    mask = class_set.mask(columns)
+    return all(mask & d for d in class_set.difference_masks)
 
 
 def seed_masks(class_set: ClassSet, k: int) -> set[int]:
@@ -201,18 +196,16 @@ def multiplicity_seeds(
 
     Each qualifying (subset, class) is reported once with the class's
     largest group (ties broken by smallest row labels), in colex subset
-    order, then class order.  Any single-column extension of a seed is a
-    non-test, so seeds of size k prune the size-(k+1) search.  Rows are
-    grouped only for the subsets seed_masks reports.
+    order (by last view position, then lexicographically), then class
+    order.  Any single-column extension of a seed is a non-test, so seeds
+    of size k prune the size-(k+1) search.  Rows are grouped only for the
+    subsets seed_masks reports.
     """
-    masks = seed_masks(class_set, k)
-    if not masks:
-        return ()
+    mask_at = {class_set.positions(m): m for m in seed_masks(class_set, k)}
     seeds = []
-    for subset in iter_subsets_colex(class_set.columns, k):
-        mask = class_set.mask(subset)
-        if mask not in masks:
-            continue
+    for positions in sorted(mask_at, key=lambda p: (p[-1:], p)):
+        mask = mask_at[positions]
+        subset = tuple([class_set.columns[p] for p in positions])
         for view in class_set.classes:
             if view.size < 3:
                 continue

@@ -382,20 +382,11 @@ def _lex_blocks(
     yield sets, every
 
 
-def _partner_masks(class_set: ClassSet) -> list[int]:
-    """Per view column, the view bits of the columns paired with it."""
-    partners = dict.fromkeys(class_set.columns, 0)
-    for a, b in paired_view_columns(class_set):
-        partners[a] |= class_set.bit_of[b]
-        partners[b] |= class_set.bit_of[a]
-    return list(partners.values())
-
-
 def _scan_size(
     class_set: ClassSet,
     size: int,
     seeds: bool,
-    partners: list[int] | None,
+    pairs: Sequence[tuple[int, int]] | None,
     stop: Callable[[ColumnSet], bool] | None = None,
     *,
     count_all: bool = False,
@@ -403,8 +394,8 @@ def _scan_size(
     """Local tests of the given size, in the order of iter_subsets_colex,
     under pruning.
 
-    A candidate holding a column and one of its partners (partners: per
-    view column, the bits of its paired columns) is skipped; with seeds
+    A candidate holding both columns of a paired pair (pairs: the view
+    positions of the paired columns, pair by pair) is skipped; with seeds
     and size >= 2 one containing a multiplicity seed is a proven non-test
     and skipped; every other candidate is checked.  Only the paired-column
     skips may hide tests, and only non-dead-end ones.  The scan ends at
@@ -431,12 +422,6 @@ def _scan_size(
     scan = _Scan([])
     if not 0 <= size <= width:
         return scan
-    pairs = [
-        (a, b)
-        for a, mask in enumerate(partners or ())
-        for b in class_set.positions(mask)
-        if a < b
-    ]
     triples: Iterable[tuple[int, ...]] = ()
     if seeds and size >= 2:
         if class_set.triple_count <= _TRIPLE_MASK_CAP:
@@ -450,7 +435,7 @@ def _scan_size(
     differences = class_set.difference_positions
     for sets, every in _blocks(width, size):
         paired = 0
-        for a, b in pairs:
+        for a, b in pairs or ():
             paired |= sets[a] & sets[b]
         free = clean = every ^ paired
         for positions in triples:
@@ -472,7 +457,7 @@ def _scan_size(
         cut = every
         while tests:
             low = tests & -tests
-            # from a list, for the reason given at ClassSet.difference_positions
+            # from a list, for the reason given in mandatory._minimal_masks
             subset = tuple([c for c, s in zip(columns, sets) if s & low])
             scan.tests.append(subset)
             if stop is not None and stop(subset):
@@ -504,11 +489,15 @@ def _search_local(
     """
     n_free = len(class_set.columns)
     t_ob = len(class_set.mandatory)
-    # Masks of locally-paired column pairs; candidates covering one are
-    # skipped.  A free column paired with a mandatory column is useless
-    # inside classes (the mandatory column is constant there), which the
-    # per-class pairing already captures, so only view columns appear here.
-    partners = _partner_masks(class_set) if config.pair_prune else None
+    # View positions of locally-paired column pairs; candidates holding
+    # both columns of one are skipped.  A free column paired with a
+    # mandatory column is useless inside classes (the mandatory column is
+    # constant there), which the per-class pairing already captures, so
+    # only view columns appear here.
+    pairs = None
+    if config.pair_prune:
+        position = class_set.columns.index
+        pairs = [(position(a), position(b)) for a, b in paired_view_columns(class_set)]
     verdicts: dict[ColumnSet, DeadendCheck] = {}
 
     def deadend(columns: ColumnSet) -> DeadendCheck:
@@ -538,7 +527,7 @@ def _search_local(
             class_set,
             length,
             config.seed_prune,
-            partners,
+            pairs,
             (lambda test: True) if config.first_only else not_deadend,
             count_all=not config.first_only,
         )

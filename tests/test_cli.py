@@ -99,6 +99,11 @@ class TestAnalyze:
         assert code == 1
         assert "error:" in err
 
+    def test_one_row_matrix_exit_1(self, capsys, one_row_file):
+        code, out, err = run(capsys, "analyze", "--input", one_row_file)
+        assert (code, out) == (1, "")
+        assert err == "error: the matrix needs at least two rows\n"
+
     def test_negative_seed_size_exit_1(self, capsys):
         code, out, err = run(
             capsys, "analyze", "--input", "q25x10", "--seeds", "--seed-size", "-1"
@@ -175,6 +180,25 @@ class TestEnumerate:
         assert "--first" in help_text
         assert "--all" not in help_text
 
+    def test_one_row_matrix_exit_1(self, capsys, one_row_file):
+        code, out, err = run(capsys, "enumerate", "--input", one_row_file)
+        assert (code, out) == (1, "")
+        assert err == "error: the matrix needs at least two rows\n"
+
+    def test_class_set_of_single_rows(self, capsys, tmp_path):
+        """Nothing to estimate from: exit 1 with the heuristic, the empty
+        local test without it."""
+        path = tmp_path / "single.txt"
+        path.write_text("columns: 1 2\nclass 1\n1: 01\n")
+        code, out, err = run(capsys, "enumerate", "--input", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: the length estimate needs a class of two")
+        code, out, _ = run(
+            capsys, "enumerate", "--input", str(path), "--no-heuristic"
+        )
+        assert code == 0
+        assert "local minimal test length: 0" in out
+
     def test_class_set_input(self, capsys):
         code, out, _ = run(capsys, "enumerate", "--input", "m8_local")
         assert code == 0
@@ -185,6 +209,7 @@ class TestEnumerate:
         "header,message",
         [
             ("columns: 1 1 2", "line 1: 'columns:' repeats label(s) 1"),
+            ("columns:", "line 1: 'columns:' lists no labels"),
             (
                 "columns: 1 2 4\nmandatory: 2 3",
                 "line 2: 'mandatory:' label(s) 2 are also in 'columns:'",
@@ -235,6 +260,11 @@ class TestVerify:
     def test_bad_columns_exit_1(self, capsys):
         code, _, err = run(capsys, "verify", "--input", "q25x10", "--test", "1,x")
         assert code == 1
+
+    def test_column_out_of_range_exit_1(self, capsys):
+        code, out, err = run(capsys, "verify", "--input", "q25x10", "--test", "1,99")
+        assert (code, out) == (1, "")
+        assert err == "error: column 99 out of range 1..10\n"
 
 
 class TestOracle:
@@ -287,6 +317,16 @@ class TestGenAndBench:
         code, _, err = run(capsys, "gen", "--rows", "3", "--cols", "1")
         assert code == 1
 
+    def test_gen_one_row_exit_1(self, capsys):
+        code, out, err = run(capsys, "gen", "--rows", "1", "--cols", "3")
+        assert (code, out) == (1, "")
+        assert err == "error: need at least two rows\n"
+
+    def test_bench_one_row_exit_1(self, capsys):
+        code, out, err = run(capsys, "bench", "--count", "2", "--rows", "1")
+        assert (code, out) == (1, "")
+        assert err == "error: need at least two rows\n"
+
     def test_bench_deterministic_identical(self, capsys, tmp_path):
         args = [
             "bench",
@@ -335,6 +375,16 @@ class TestGenAndBench:
         with pytest.raises(KeyError):
             main(["gen", "--rows", "4", "--cols", "3"])
 
+    def test_internal_value_error_is_not_an_input_error(self, monkeypatch):
+        import mintest.cli as cli
+
+        def broken(args):
+            raise ValueError("internal")
+
+        monkeypatch.setattr(cli, "_cmd_gen", broken)
+        with pytest.raises(ValueError, match="internal"):
+            main(["gen", "--rows", "4", "--cols", "3"])
+
     def test_bench_json_summary(self, capsys):
         code, out, err = run(
             capsys,
@@ -353,6 +403,13 @@ class TestGenAndBench:
         assert code == 0
         summary = json.loads(err)
         assert summary["mismatches"] == 0
+
+
+@pytest.fixture
+def one_row_file(tmp_path):
+    path = tmp_path / "one.txt"
+    path.write_text("0101\n")
+    return str(path)
 
 
 @pytest.fixture

@@ -3,10 +3,9 @@
 A column set is a local test iff it meets every within-class difference
 a ^ b, and a column of a local test separates some pair alone iff the
 test meets some minimal difference in that column only.  These tests pin
-ClassSet.difference_masks and ClassSet.column_hits to their definitions,
-and the decisions read off them (is_local_test, the search's dead-end
-verdict) to first_collision and the group-by reference of test_flip_probe
-on every column subset.
+ClassSet.difference_masks to its definition, and the decisions read off
+them (is_local_test, the search's dead-end verdict) to first_collision
+and the group-by reference of test_flip_probe on every column subset.
 """
 
 import random
@@ -102,12 +101,6 @@ def assert_masks_are_minimal_differences(class_set):
     assert set(masks) <= diffs
     for d in diffs:
         assert any(m & d == m for m in masks)
-    for c, hits in class_set.column_hits.items():
-        bit = class_set.bit_of[c]
-        assert hits.bit_length() <= len(masks)
-        assert [hits >> i & 1 for i in range(len(masks))] == [
-            int(m & bit != 0) for m in masks
-        ]
 
 
 def assert_decisions_agree(class_set):

@@ -167,6 +167,23 @@ class TestMultiplicitySeeds:
         assert multiplicity_seeds(m8, 1) == ()
         assert multiplicity_seeds(m8, 2) == ()
 
+    def test_groups_rows_for_the_seeds_alone(self, monkeypatch, q25_views):
+        """The seeds come out in colex order without a walk over every
+        k-subset."""
+        import mintest.pruning as pruning
+        from test_acceptance import SEED_TABLE
+        from test_cli import Q25_SEEDS
+
+        def refuse(items, k):
+            raise AssertionError("walked every k-subset")
+
+        monkeypatch.setattr(pruning, "iter_subsets_colex", refuse)
+        for size, pinned in Q25_SEEDS.items():
+            seeds = multiplicity_seeds(q25_views, size)
+            assert [(g.columns, g.class_name, g.rows) for g in seeds] == pinned
+        found = {(g.columns, g.rows) for g in multiplicity_seeds(q25_views, 2)}
+        assert set(SEED_TABLE.items()) <= found
+
     def test_largest_group_ties_go_to_smallest_labels(self):
         # column 1 splits the class into two groups of three; rows keep
         # their class order inside a group

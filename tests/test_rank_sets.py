@@ -16,12 +16,13 @@ from hypothesis import given, settings, strategies as st
 
 import mintest.search as search
 from mintest import iter_subsets_colex
-from mintest.search import _blocks, _partner_masks, _rank_sets, _scan_size
+from mintest.search import _blocks, _rank_sets, _scan_size
 
 from test_difference_masks import class_sets
 from test_scan_kernel import (
     SEEDED,
     assert_scans_agree,
+    paired_positions,
     random_class_set,
     reference_scan,
     stops,
@@ -99,10 +100,10 @@ def test_count_all_counts_past_the_hit(monkeypatch, block):
     monkeypatch.setattr(search, "_BLOCK", block)
     hits = 0
     for cs in SEEDED:
-        partners = _partner_masks(cs)
+        pairs = paired_positions(cs)
         for size in range(len(cs.columns) + 1):
             for name, stop in stops(cs).items():
-                scan = _scan_size(cs, size, True, partners, stop, count_all=True)
+                scan = _scan_size(cs, size, True, pairs, stop, count_all=True)
                 tests, hit, *_ = reference_scan(cs, size, True, True, stop)
                 assert (scan.tests, scan.hit) == (tests, hit), (size, name)
                 *_, checked, seed_skips, pair_skips = reference_scan(

@@ -31,7 +31,7 @@ from mintest import (
     seed_masks,
 )
 from mintest.pruning import first_collision
-from mintest.search import _local_verdict, _partner_masks, _scan_size
+from mintest.search import _local_verdict, _scan_size
 
 from test_difference_masks import class_sets
 
@@ -60,9 +60,15 @@ def reference_scan(class_set, size, seeds, pairs, stop=None):
     return tests, None, checked, seed_skips, pair_skips
 
 
+def paired_positions(class_set):
+    """The view positions of each pair of paired_view_columns."""
+    position = class_set.columns.index
+    return [(position(a), position(b)) for a, b in paired_view_columns(class_set)]
+
+
 def kernel_scan(class_set, size, seeds, pairs, stop=None):
-    partners = _partner_masks(class_set) if pairs else None
-    scan = _scan_size(class_set, size, seeds, partners, stop)
+    pairs = paired_positions(class_set) if pairs else None
+    scan = _scan_size(class_set, size, seeds, pairs, stop)
     return scan.tests, scan.hit, scan.checked, scan.seed_skips, scan.pair_skips
 
 
