@@ -22,14 +22,13 @@ from __future__ import annotations
 
 import io
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 from .generate import GenerationError, GeneratorConfig, derive_seeds, generate_matrix
 from .heuristic import column_pair_stats, estimate_length, union_pair_stats
 from .matrix import BooleanMatrix
 from .mandatory import class_views, find_mandatory, partition_by_mandatory
-from .oracle import OracleCeilingError, oracle_minimal_tests
+from .oracle import oracle_minimal_tests
 from .search import SearchConfig, enumerate_minimal_tests
 
 CSV_COLUMNS = (
@@ -166,14 +165,9 @@ def _run_one(args: tuple[int, int, int, int, float, int]) -> ExperimentRecord:
         return ExperimentRecord(
             index=index, seed=seed, m=m, n=n, density=density, error=str(exc)
         )
-    try:
-        return bench_matrix(
-            matrix, index=index, seed=seed, density=density, oracle_ceiling=ceiling
-        )
-    except OracleCeilingError as exc:  # pragma: no cover - guarded by caller
-        return ExperimentRecord(
-            index=index, seed=seed, m=m, n=n, density=density, error=str(exc)
-        )
+    return bench_matrix(
+        matrix, index=index, seed=seed, density=density, oracle_ceiling=ceiling
+    )
 
 
 def run_benchmark(config: StreamConfig) -> BenchResult:
@@ -192,11 +186,14 @@ def run_benchmark(config: StreamConfig) -> BenchResult:
         m, n, d = grid[i % len(grid)]
         jobs.append((i, seeds[i], m, n, d, config.oracle_ceiling))
     if config.workers > 1 and len(jobs) > 1:
+        # Here, not at module level: importing the pool loads
+        # multiprocessing, which every `import mintest` would pay for.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
             records = list(pool.map(_run_one, jobs))
     else:
         records = [_run_one(j) for j in jobs]
-    records.sort(key=lambda r: r.index)
     if config.deterministic:
         records = [untimed(r) for r in records]
     return BenchResult(

@@ -33,12 +33,7 @@ from .mandatory import (
     find_mandatory,
     partition_by_mandatory,
 )
-from .matrix import (
-    BooleanMatrix,
-    MatrixFormatError,
-    is_test,
-    sort_rows_by_binary_value,
-)
+from .matrix import BooleanMatrix, MatrixFormatError, is_test
 from .oracle import OracleCeilingError, oracle_deadend_tests, oracle_minimal_tests
 from .pruning import bijective_column_pairs, multiplicity_seeds
 from .search import (
@@ -152,13 +147,12 @@ def _cmd_analyze(args) -> int:
     if isinstance(data, ClassSet):
         return _analyze_class_set(args, data)
     matrix = _two_rows(data)
-    sorted_matrix = sort_rows_by_binary_value(matrix)
-    mandatory = find_mandatory(sorted_matrix)
-    partition = partition_by_mandatory(sorted_matrix, mandatory.columns)
-    stats = column_pair_stats(sorted_matrix)
+    mandatory = find_mandatory(matrix)
+    partition = partition_by_mandatory(matrix, mandatory.columns)
+    stats = column_pair_stats(matrix)
     estimate = estimate_length(stats)
-    cand = candidate_pair_count(sorted_matrix)
-    cs = class_views(sorted_matrix, partition) if partition.classes else None
+    cand = candidate_pair_count(matrix)
+    cs = class_views(matrix, partition) if partition.classes else None
     local = union_pair_stats(cs) if cs else None
     local_est = estimate_length(local) if local else None
 
@@ -312,11 +306,6 @@ def _cmd_enumerate(args) -> int:
     data = _load_any(args.input)
     config = _search_config(args)
     if isinstance(data, ClassSet):
-        if config.use_heuristic and all(view.size < 2 for view in data.classes):
-            raise MatrixFormatError(
-                "the length estimate needs a class of two or more rows; "
-                "use --no-heuristic"
-            )
         report = enumerate_local_minimal_tests(data, config)
         tests = report.integral_tests if data.mandatory else report.local_tests
         if args.report:
@@ -453,12 +442,7 @@ def _cmd_gen(args) -> int:
         f"density={args.density:g} seed={args.seed}"
     ]
     lines.extend(matrix.row_string(lab) for lab in matrix.row_labels)
-    text = "\n".join(lines)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _emit(args, "\n".join(lines))
     return EXIT_OK
 
 

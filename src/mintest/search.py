@@ -1,9 +1,13 @@
 """End-to-end minimal-test enumeration with exact length correction.
 
-The pipeline: sort rows, find the mandatory columns, partition the rows
-into classes, estimate the local test length, then enumerate local column
-subsets of that size.  The estimate only picks the starting size; the loop
-holds a certificate before it ever accepts:
+The pipeline: find the mandatory columns, partition the rows into
+classes, solve the class set of the multi-row classes (estimate the local
+test length, then enumerate local column subsets of that size), and
+certify each minimal test, the mandatory columns plus one local test, on
+the full matrix.  A class set with no class of two rows has nothing left
+to separate; its one local test is the empty set.  The estimate only
+picks the starting size; the loop holds a certificate before it ever
+accepts:
 
 * a size L is accepted only when at least one local test of size L exists
   and an exhaustive sweep shows no local test of size L-1 exists (sizes
@@ -70,7 +74,6 @@ from .matrix import (
     flip_pairs,
     is_test,
     normalize_columns,
-    sort_rows_by_binary_value,
 )
 from .oracle import OracleCeilingError, oracle_minimal_tests
 from .pruning import (
@@ -168,7 +171,7 @@ class TestReport:
     corrections: tuple[Correction, ...]
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True, default=_json_default)
+        return json.dumps(asdict(self), sort_keys=True)
 
 
 @dataclass(frozen=True)
@@ -179,12 +182,6 @@ class TestVerdict:
     minimal: str
     min_length: int | None
     note: str = ""
-
-
-def _json_default(obj):
-    if isinstance(obj, (set, frozenset)):
-        return sorted(obj)
-    raise TypeError(f"not JSON serializable: {type(obj).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -584,20 +581,6 @@ def _search_local(
     return length, tuple(sorted(found)), stats, tuple(corrections)
 
 
-def _start_length(
-    class_set: ClassSet, config: SearchConfig
-) -> tuple[int, HeuristicEstimate | None]:
-    """Starting local size and the estimate behind it: the configured
-    initial length, else the heuristic over the two largest classes,
-    else 1."""
-    if config.initial_length is not None:
-        return config.initial_length, None
-    if config.use_heuristic:
-        estimate = estimate_length(union_pair_stats(class_set))
-        return estimate.t0, estimate
-    return 1, None
-
-
 def _check_ceiling(columns: int, config: SearchConfig) -> None:
     """Refuse a heuristic-free search over more columns than the ceiling."""
     if not config.use_heuristic and columns > config.no_heuristic_ceiling:
@@ -610,20 +593,35 @@ def _check_ceiling(columns: int, config: SearchConfig) -> None:
 def enumerate_local_minimal_tests(
     class_set: ClassSet, config: SearchConfig = SearchConfig()
 ) -> LocalReport:
-    """Minimal local tests of a class set (no parent matrix required)."""
-    if not class_set.classes:
-        raise ValueError("class set has no multi-row classes to separate")
+    """Minimal local tests of a class set (no parent matrix required).
+
+    The search starts at the configured initial length, else at the
+    heuristic estimate over the two largest classes, else at 1.  A class
+    set with no class of two rows has no pair to separate: its one
+    minimal local test is the empty set, under every configuration, with
+    no estimate and no size scanned.
+    """
     _check_ceiling(len(class_set.columns), config)
-    start, estimate = _start_length(class_set, config)
-    length, tests, stats, corrections = _search_local(class_set, start, config)
     mand = class_set.mandatory
-    integral = tuple(tuple(sorted(mand + t)) for t in tests)
+    estimate = None
+    if not class_set.within_pair_total:
+        length, tests = 0, ((),)
+        stats, corrections = SearchStats(class_count=len(class_set.classes)), ()
+    else:
+        if config.initial_length is not None:
+            start = config.initial_length
+        elif config.use_heuristic:
+            estimate = estimate_length(union_pair_stats(class_set))
+            start = estimate.t0
+        else:
+            start = 1
+        length, tests, stats, corrections = _search_local(class_set, start, config)
     return LocalReport(
         local_length=length,
         local_tests=tests,
         mandatory=mand,
-        integral_length=integral_length(len(mand), length) if mand else length,
-        integral_tests=integral,
+        integral_length=integral_length(len(mand), length),
+        integral_tests=tuple(tuple(sorted(mand + t)) for t in tests),
         estimate=estimate,
         stats=stats,
         corrections=corrections,
@@ -637,57 +635,36 @@ def enumerate_minimal_tests(
 ) -> TestReport:
     """All minimal tests of a matrix (or the first, under first_only).
 
-    Every reported set is a verified dead-end test containing every
-    mandatory column; the report carries the estimates, corrections and
-    search statistics that produced it.
+    The mandatory columns partition the rows into classes; the local
+    search on the multi-row classes gives the minimal tests, each the
+    mandatory columns plus one local test, and every one is certified
+    dead-end on the full matrix.  The report carries the estimates,
+    corrections and search statistics that produced them.
     """
     if matrix.row_count < 2:
         raise ValueError("minimal tests need at least two rows")
     _check_ceiling(matrix.col_count, config)
-    sorted_matrix = sort_rows_by_binary_value(matrix)
-    mandatory = find_mandatory(sorted_matrix)
-    partition = partition_by_mandatory(sorted_matrix, mandatory.columns)
-    global_estimate = estimate_length(column_pair_stats(sorted_matrix))
-
-    if not partition.classes:
-        # The mandatory columns alone separate every pair.
-        cols = mandatory.columns
-        check = is_deadend(sorted_matrix, cols)
-        return TestReport(
-            minimal_length=len(cols),
-            mandatory=cols,
-            minimal_tests=(cols,),
-            deadend_verified=(check.ok,),
-            witnesses=(check.witnesses,),
-            heuristic=global_estimate,
-            local_heuristic=None,
-            estimate_initial=None,
-            partition=partition,
-            stats=SearchStats(class_count=0, free_columns=0),
-            corrections=(),
-        )
-
-    class_set = class_views(sorted_matrix, partition)
-    start, local_estimate = _start_length(class_set, config)
-    length, local_tests, stats, corrections = _search_local(class_set, start, config)
-    integral = tuple(
-        tuple(sorted(mandatory.columns + t)) for t in local_tests
-    )
-    checks = [is_deadend(sorted_matrix, t) for t in integral]
+    mandatory = find_mandatory(matrix)
+    partition = partition_by_mandatory(matrix, mandatory.columns)
+    local = enumerate_local_minimal_tests(class_views(matrix, partition), config)
+    checks = [is_deadend(matrix, t) for t in local.integral_tests]
+    start = config.initial_length
+    if start is None and local.estimate is not None:
+        start = local.estimate.t0
     return TestReport(
-        minimal_length=len(mandatory.columns) + length,
+        minimal_length=local.integral_length,
         mandatory=mandatory.columns,
-        minimal_tests=integral,
+        minimal_tests=local.integral_tests,
         deadend_verified=tuple(c.ok for c in checks),
         witnesses=tuple(c.witnesses for c in checks),
-        heuristic=global_estimate,
-        local_heuristic=local_estimate,
+        heuristic=estimate_length(column_pair_stats(matrix)),
+        local_heuristic=local.estimate,
         estimate_initial=(
             integral_length(len(mandatory.columns), start)
-            if (config.use_heuristic or config.initial_length is not None)
+            if start is not None and local.stats.lengths_visited
             else None
         ),
         partition=partition,
-        stats=stats,
-        corrections=corrections,
+        stats=local.stats,
+        corrections=local.corrections,
     )

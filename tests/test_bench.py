@@ -1,4 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+
+import mintest
 
 from mintest import (
     StreamConfig,
@@ -119,3 +126,21 @@ class TestSearchTimeRatio:
         assert "mean_search_time_ratio" in summary
         assert summary["mean_search_time_ratio"] is None
         assert csv_text(result, deterministic=True) == PINNED_CSV
+
+
+def test_import_loads_no_process_pool():
+    """Only run_benchmark's worker branch loads the process pool."""
+    code = (
+        "import sys, mintest; "
+        "print([m for m in ('multiprocessing', 'concurrent.futures') "
+        "if m in sys.modules])"
+    )
+    src = Path(mintest.__file__).resolve().parents[1]
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    ).stdout
+    assert out == "[]\n"

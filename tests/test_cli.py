@@ -186,13 +186,13 @@ class TestEnumerate:
         assert err == "error: the matrix needs at least two rows\n"
 
     def test_class_set_of_single_rows(self, capsys, tmp_path):
-        """Nothing to estimate from: exit 1 with the heuristic, the empty
-        local test without it."""
+        """Nothing to separate: the empty local test, with the heuristic
+        and without it."""
         path = tmp_path / "single.txt"
         path.write_text("columns: 1 2\nclass 1\n1: 01\n")
-        code, out, err = run(capsys, "enumerate", "--input", str(path))
-        assert (code, out) == (1, "")
-        assert err.startswith("error: the length estimate needs a class of two")
+        code, out, _ = run(capsys, "enumerate", "--input", str(path))
+        assert code == 0
+        assert "local minimal test length: 0" in out
         code, out, _ = run(
             capsys, "enumerate", "--input", str(path), "--no-heuristic"
         )

@@ -1,4 +1,5 @@
 import json
+import random
 from collections import Counter
 from functools import partial
 
@@ -9,8 +10,12 @@ from test_search_pins import PINS, TOGGLES
 
 import mintest.search
 from mintest import (
+    BooleanMatrix,
+    ClassSet,
+    ClassView,
     SearchCeilingError,
     SearchConfig,
+    SearchStats,
     deadend_reduce,
     enumerate_local_minimal_tests,
     enumerate_minimal_tests,
@@ -173,6 +178,21 @@ class TestEnumerate:
         assert a == b
         json.loads(a)  # valid JSON
 
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_report_ignores_row_order(self, seed):
+        matrix = random_matrix(seed, rows=14, cols=8)
+        order = list(range(matrix.row_count))
+        random.Random(seed).shuffle(order)
+        shuffled = BooleanMatrix(
+            col_count=matrix.col_count,
+            rows=tuple(matrix.rows[i] for i in order),
+            row_labels=tuple(matrix.row_labels[i] for i in order),
+        )
+        assert shuffled.rows != matrix.rows
+        report = enumerate_minimal_tests(matrix)
+        assert report.partition.classes
+        assert enumerate_minimal_tests(shuffled).to_json() == report.to_json()
+
 
 class TestCorrections:
     def test_overshoot_corrects_down(self, q25):
@@ -255,6 +275,39 @@ class TestLocalEnumeration:
             p for p in iter_subsets_colex(m8.columns, 2) if not is_local_test(m8, p)
         ]
         assert sorted(failing) == [(1, 8), (5, 9)]
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            SearchConfig(),
+            SearchConfig(use_heuristic=False),
+            SearchConfig(initial_length=3),
+            SearchConfig(first_only=True),
+            SearchConfig(seed_prune=False, pair_prune=False),
+        ],
+        ids=["default", "no-heuristic", "initial-3", "first-only", "unpruned"],
+    )
+    @pytest.mark.parametrize(
+        "rows",
+        [((0b01,),), ((0b01,), (0b01,)), ((0b01,), (0b10,)), ()],
+        ids=["one-row", "same-row-twice", "two-rows", "no-classes"],
+    )
+    def test_nothing_to_separate(self, rows, config):
+        """Without a class of two rows the empty local test is the answer,
+        the same under every configuration."""
+        classes = tuple(
+            ClassView(name=f"Q{i}", key=(i,), row_labels=(i,), rows=r)
+            for i, r in enumerate(rows, start=1)
+        )
+        class_set = ClassSet(columns=(1, 2), classes=classes, mandatory=(3,))
+        report = enumerate_local_minimal_tests(class_set, config)
+        assert report.local_length == 0
+        assert report.local_tests == ((),)
+        assert report.integral_length == 1
+        assert report.integral_tests == ((3,),)
+        assert report.estimate is None
+        assert report.corrections == ()
+        assert report.stats == SearchStats(class_count=len(classes))
 
     def test_local_deadend_reduce(self, m8):
         # the reduction the correction loop applies to a jump target
