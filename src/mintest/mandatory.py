@@ -21,7 +21,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import comb
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .matrix import (
     BooleanMatrix,
@@ -127,14 +127,16 @@ class ClassSet:
         width = len(self.columns)
         return {c: 1 << (width - 1 - pos) for pos, c in enumerate(self.columns)}
 
-    @cached_property
-    def _differences(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-        diffs: set[int] = set()
+    def _pair_differences(self) -> Iterator[int]:
+        """The row differences a ^ b inside the classes, repeats included."""
         for view in self.classes:
             rows = view.rows
             for i, row in enumerate(rows):
-                diffs.update(map(row.__xor__, rows[i + 1 :]))
-        return _minimal_masks(diffs, len(self.columns))
+                yield from map(row.__xor__, rows[i + 1 :])
+
+    @cached_property
+    def _differences(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+        return _minimal_masks(set(self._pair_differences()), len(self.columns))
 
     @property
     def difference_masks(self) -> tuple[int, ...]:
@@ -162,16 +164,19 @@ class ClassSet:
         p rows, the size of the triple_masks build."""
         return sum(comb(view.size, 3) for view in self.classes)
 
-    @cached_property
-    def _triples(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-        unions: set[int] = set()
+    def _triple_unions(self) -> Iterator[int]:
+        """The unions (a ^ b) | (a ^ c) over the row triples inside the
+        classes, repeats included."""
         for view in self.classes:
             rows = view.rows
             for i, row in enumerate(rows):
                 diffs = [row ^ other for other in rows[i + 1 :]]
                 for j, diff in enumerate(diffs):
-                    unions.update(map(diff.__or__, diffs[j + 1 :]))
-        return _minimal_masks(unions, len(self.columns))
+                    yield from map(diff.__or__, diffs[j + 1 :])
+
+    @cached_property
+    def _triples(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+        return _minimal_masks(set(self._triple_unions()), len(self.columns))
 
     @property
     def triple_masks(self) -> tuple[int, ...]:
@@ -191,6 +196,29 @@ class ClassSet:
     def triple_positions(self) -> tuple[tuple[int, ...], ...]:
         """The view positions each triple mask holds, mask by mask."""
         return self._triples[1]
+
+    @cached_property
+    def non_tests(self) -> int:
+        """The column subsets that are not local tests, on the subset
+        lattice of the view (see _lattice): bit x is set iff the subset
+        with view mask x misses some within-class difference, that is
+        lies inside its complement.  One bit per complemented difference,
+        then the downward closure; no minimal-mask filter.
+        """
+        width = len(self.columns)
+        return _down_closure(_complement_bits(self._pair_differences(), width), width)
+
+    @cached_property
+    def seed_up(self) -> int:
+        """The column subsets that contain a multiplicity seed one column
+        smaller, on the subset lattice of the view: the seeds are the
+        downward closure of the complemented triple unions (three rows
+        agree on a set iff it misses their union), and one up-step adds a
+        column to each.  The build takes triple_count ORs.
+        """
+        width = len(self.columns)
+        seeds = _down_closure(_complement_bits(self._triple_unions(), width), width)
+        return _up_step(seeds, width)
 
     def positions(self, mask: int) -> tuple[int, ...]:
         """The view positions (0 for the first view column) of a mask, in
@@ -267,6 +295,90 @@ def _minimal_masks(
         # of its final size and stay there, raising peak memory.
         kept_positions.append(tuple(held))
     return tuple(kept), tuple(kept_positions)
+
+
+@dataclass(frozen=True)
+class _Lattice:
+    """The subset lattice of width bits as ints of 2^width bits: bit x
+    stands for the subset with mask x.
+
+    holding[b] marks the subsets holding bit b, layers[k] the k-subsets,
+    lowest[j] the subsets whose lowest set bit is j, and clear_below[j]
+    (j up to width) the subsets with no bit below j.
+    """
+
+    holding: tuple[int, ...]
+    layers: tuple[int, ...]
+    lowest: tuple[int, ...]
+    clear_below: tuple[int, ...]
+
+
+_LATTICES: dict[int, _Lattice] = {}
+
+
+def _lattice(width: int) -> _Lattice:
+    """The tables of the subset lattice of width bits, built once per
+    width and kept: about 4 * width ints of 2^width bits.
+
+    holding[b] repeats 2^b clear bits then 2^b set ones, built by
+    doubling the pattern; layers[k] grows one bit at a time, the sets
+    holding the new top bit being those of one size less shifted past the
+    ones without it.
+    """
+    if width in _LATTICES:
+        return _LATTICES[width]
+    size = 1 << width
+    holding = []
+    for b in range(width):
+        span = 1 << b
+        pattern = ((1 << span) - 1) << span
+        span <<= 1
+        while span < size:
+            pattern |= pattern << span
+            span <<= 1
+        holding.append(pattern)
+    layers = [1]
+    for b in range(width):
+        layers = [
+            low | high << (1 << b) for low, high in zip(layers + [0], [0] + layers)
+        ]
+    clear_below = [(1 << size) - 1]
+    lowest = []
+    for hold in holding:
+        lowest.append(clear_below[-1] & hold)
+        clear_below.append(clear_below[-1] ^ lowest[-1])
+    tables = _Lattice(tuple(holding), tuple(layers), tuple(lowest), tuple(clear_below))
+    _LATTICES[width] = tables
+    return tables
+
+
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+
+def _complement_bits(masks: Iterable[int], width: int) -> int:
+    """One bit per mask of width bits, at its complement, on the subset
+    lattice: digit x of a binary numeral of 2^width digits is the bit of
+    the complement of x."""
+    digits = bytearray(1 << width)
+    for mask in masks:
+        digits[mask] = 1
+    return int(digits.translate(_DIGITS), 2)
+
+
+def _down_closure(sets: int, width: int) -> int:
+    """Every subset of a set in sets: one shift-OR per bit, the fast zeta
+    (subset-sum) transform of Yates (1937) done on bits."""
+    for b, hold in enumerate(_lattice(width).holding):
+        sets |= (sets & hold) >> (1 << b)
+    return sets
+
+
+def _up_step(sets: int, width: int) -> int:
+    """Every set made of a set in sets plus one bit it lacks."""
+    up = 0
+    for b, hold in enumerate(_lattice(width).holding):
+        up |= (sets & ~hold) << (1 << b)
+    return up
 
 
 def candidate_pairs(matrix: BooleanMatrix) -> tuple[RowPair, ...]:

@@ -20,15 +20,16 @@ Three independent facts shrink the search, all phrased over a ClassSet:
   (k+1)-subset containing such a seed is a non-test and can be skipped
   without checking.  Three rows a, b, c agree on a column set exactly
   when it misses (a^b)|(a^c), so a (k+1)-subset contains a k-seed iff it
-  meets one of these triple masks at most once; the search tests that
-  over the class set's minimal triple masks (ClassSet.triple_masks) for
-  all candidates of a size at once (search._scan_size).  seed_masks lists
-  the seeds themselves by partition refinement: a depth-first search over
-  the columns in view order keeps, per node, only the row blocks of >= 3
-  rows that agree on the columns chosen so far, and stops descending
-  once no such block is left.  It serves multiplicity_seeds, and the
-  search's seed test on a class set with too many row triples to build
-  their masks.
+  meets one of these triple masks at most once.  The search tests that
+  for all candidates of a size at once (search._scan_size): on a narrow
+  view with the closure of the complemented unions (ClassSet.seed_up),
+  on a wide one over the minimal triple masks (ClassSet.triple_masks).
+  seed_masks lists the seeds themselves by partition refinement: a
+  depth-first search over the columns in view order keeps, per node, only
+  the row blocks of >= 3 rows that agree on the columns chosen so far,
+  and stops descending once no such block is left.  It serves
+  multiplicity_seeds, and the search's seed test on a class set with too
+  many row triples to build their masks.
 
 * Paired columns.  Two columns that are equal or complementary separate
   exactly the same row pairs, so one of them is redundant in any test that

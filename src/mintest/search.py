@@ -27,22 +27,34 @@ happened the jump target comes from the unpruned rescan, so every pruning
 configuration walks the same sequence of sizes and reports identical
 results.  Each dead-end verdict is computed once per search.
 
-Every local decision reads off the class set's minimal within-class row
-differences (ClassSet.difference_masks): a subset is a local test iff it
-meets every mask, and a column of a test is redundant iff no mask meets
-the test in that column alone (_local_verdict, the one local dead-end
-verdict).  The seed test reads off the minimal row-triple masks the same
-way: a subset contains a multiplicity seed iff it meets some triple mask
-(ClassSet.triple_masks) at most once; above _TRIPLE_MASK_CAP row triples
-the masks are the complements of the seeds of the scanned size.  Every
-subset scan is one bit-sliced kernel (_scan_size): the candidates of one
-size are numbered in iter_subsets_colex order, each view position keeps
-the set of ranks of the candidates holding it as one big int
-(_rank_sets), and a size is decided with a fixed number of big-int
-operations per mask rather than per candidate, in blocks of at most
-_BLOCK ranks (_blocks).  No rows are indexed during the scan or the
-correction loop.  Witness pairs are found only on the full matrix:
-is_deadend certifies every reported test with one.
+Every local decision reads off two facts.  A subset is a local test iff
+it meets every within-class row difference, and a column of a test is
+redundant iff the test without it is still a test (_local_verdict, the
+one local dead-end verdict).  A subset contains a multiplicity seed iff
+it meets some row-triple union at most once; above _TRIPLE_MASK_CAP row
+triples the seeds of the scanned size are listed instead.  Every subset
+scan is one call of _scan_size, which decides all candidates of a size
+at once with big-int operations, on one of two kernels:
+
+* On a view of at most _LATTICE_WIDTH columns, the subset lattice: bit x
+  of a 2^w-bit int stands for the subset with view mask x.  The non-tests
+  (ClassSet.non_tests) and the sets holding a seed one column smaller
+  (ClassSet.seed_up) are each one such int, so a size is its layer ANDed
+  with them and every counter is a popcount.  Scan order is by lowest
+  set bit, highest first, then by mask, larger first: the tests decode
+  by bit_length, and a stop at mask x of lowest bit j cuts the counters
+  at the subsets with no bit below j + 1 and those of lowest bit j from
+  x up.  A verdict is one bit test per column.
+* On a wider view, rank sets: the candidates are numbered in scan order,
+  each view position keeps the ranks of those holding it as one big int
+  (_rank_sets), in blocks of at most _BLOCK ranks (_blocks), and each
+  inclusion-minimal difference and triple mask (ClassSet.difference_masks,
+  ClassSet.triple_masks) costs a fixed number of operations; a stop cuts
+  the counters at the rank of its test.
+
+No rows are indexed during the scan or the correction loop.  Witness
+pairs are found only on the full matrix: is_deadend certifies every
+reported test with one.
 """
 
 from __future__ import annotations
@@ -63,6 +75,9 @@ from .heuristic import (
 from .mandatory import (
     ClassSet,
     Partition,
+    _complement_bits,
+    _lattice,
+    _up_step,
     class_views,
     find_mandatory,
     partition_by_mandatory,
@@ -284,13 +299,23 @@ def _local_verdict(class_set: ClassSet, columns: ColumnSet) -> DeadendCheck:
     Column c separates a pair alone iff the pair's difference meets the
     test in c only.  A minimal difference inside it meets the test in a
     nonempty part of that, so c separates some pair alone iff c's bit is
-    one of the test's intersections with the minimal differences.  The
-    columns must already be a local test.
+    one of the test's intersections with the minimal differences.  On a
+    view of at most _LATTICE_WIDTH columns it is one bit test per
+    column: c is redundant iff the test without c is still a test, that
+    is no bit of ClassSet.non_tests.  The columns must already be a local
+    test.
     """
     mask = class_set.mask(columns)
-    private = set(map(mask.__and__, class_set.difference_masks))
     bit_of = class_set.bit_of
-    redundant = max((c for c in columns if bit_of[c] not in private), default=None)
+    if len(class_set.columns) <= _LATTICE_WIDTH:
+        non_tests = class_set.non_tests
+        redundant = max(
+            (c for c in columns if not non_tests >> (mask ^ bit_of[c]) & 1),
+            default=None,
+        )
+    else:
+        private = set(map(mask.__and__, class_set.difference_masks))
+        redundant = max((c for c in columns if bit_of[c] not in private), default=None)
     return DeadendCheck(ok=redundant is None, witnesses=(), redundant=redundant)
 
 
@@ -298,6 +323,10 @@ def _local_verdict(class_set: ClassSet, columns: ColumnSet) -> DeadendCheck:
 # masks off the multiplicity seeds of each scanned size instead of the
 # class set's triple masks (one 500-row class has 2*10^7 triples).
 _TRIPLE_MASK_CAP = 100_000
+
+# A class set of at most this many view columns is scanned on its subset
+# lattice, one int of 2^width bits per set family (128 KB at the cap).
+_LATTICE_WIDTH = 20
 
 
 @dataclass(slots=True)
@@ -398,27 +427,110 @@ def _scan_size(
     skips may hide tests, and only non-dead-end ones.  The scan ends at
     the first test for which stop is true and returns it as hit.  The
     size-L enumeration, the (L-1) refutation sweep and the unpruned rescan
-    for a jump target all run here.
+    for a jump target all run here.  The counters are popcounts, cut at
+    the test the stop fired on; with count_all they cover the whole size,
+    and only the list of tests ends at the hit.
 
-    The scan is bit-sliced: it numbers the candidates in scan order and
-    decides all of them at once with big-int operations over the rank
-    sets of the view positions (_blocks), a fixed number per mask rather
-    than per candidate.  The paired candidates are those holding both
-    columns of a pair, the seed-free ones meet every seed-test mask twice
-    (the triple masks, or above _TRIPLE_MASK_CAP triples the view
-    complements of the (k-1)-seeds: a k-set contains a (k-1)-set S iff it
-    meets ~S at most once), and the tests meet every difference mask.  A
-    k-subset of w positions meets every mask of more than w-k positions,
-    and twice every one of more than w-k+1, so those masks are skipped.
-    The counters are popcounts, cut at the rank of the test the stop
-    fired on; with count_all they cover the whole size, and only the list
-    of tests ends at the hit.
+    A view of at most _LATTICE_WIDTH columns is scanned on its subset
+    lattice (_lattice_scan), a wider one over rank sets (_rank_scan);
+    both give the same tests, hit and counters.  The cut follows scan
+    order.  Over rank sets it is the ranks up to the hit.  On the
+    lattice the subsets come by lowest set bit, highest first, then by
+    mask, larger first; so a hit at mask x of lowest bit j cuts at the
+    subsets with no bit below j + 1 and those of lowest bit j from x up.
+    """
+    width = len(class_set.columns)
+    if not 0 <= size <= width:
+        return _Scan([])
+    scan = _lattice_scan if width <= _LATTICE_WIDTH else _rank_scan
+    return scan(class_set, size, seeds, pairs, stop, count_all)
+
+
+def _lattice_scan(
+    class_set: ClassSet,
+    size: int,
+    seeds: bool,
+    pairs: Sequence[tuple[int, int]] | None,
+    stop: Callable[[ColumnSet], bool] | None,
+    count_all: bool,
+) -> _Scan:
+    """_scan_size on the subset lattice (mandatory._lattice): the
+    candidates are the size layer, the paired ones hold both bits of a
+    pair, the seeded ones lie in ClassSet.seed_up (above _TRIPLE_MASK_CAP
+    triples, one up-step from the (k-1)-seeds) and the tests lie outside
+    ClassSet.non_tests."""
+    columns = class_set.columns
+    width = len(columns)
+    lattice = _lattice(width)
+    holding = lattice.holding
+    every = lattice.layers[size]
+    paired = 0
+    for a, b in pairs or ():
+        paired |= holding[width - 1 - a] & holding[width - 1 - b]
+    paired &= every
+    free = clean = every ^ paired
+    if seeds and size >= 2:
+        if class_set.triple_count <= _TRIPLE_MASK_CAP:
+            clean &= ~class_set.seed_up
+        else:
+            full = (1 << width) - 1  # complemented twice: a bit per seed
+            seeded = map(full.__xor__, seed_masks(class_set, size - 1))
+            clean &= ~_up_step(_complement_bits(seeded, width), width)
+    tests = clean & ~class_set.non_tests
+    scan = _Scan([])
+    cut = every
+    bit_of = class_set.bit_of
+    for x in _colex_masks(tests, lattice.lowest):
+        # from a list, for the reason given in mandatory._minimal_masks
+        subset = tuple([c for c in columns if x & bit_of[c]])
+        scan.tests.append(subset)
+        if stop is not None and stop(subset):
+            scan.hit = subset
+            if x and not count_all:  # the empty set is its whole size
+                j = (x & -x).bit_length() - 1
+                cut = lattice.clear_below[j + 1] | lattice.lowest[j] >> x << x
+            break
+    scan.checked = (clean & cut).bit_count()
+    scan.seed_skips = ((free ^ clean) & cut).bit_count()
+    scan.pair_skips = (paired & cut).bit_count()
+    return scan
+
+
+def _colex_masks(sets: int, lowest: Sequence[int]) -> Iterator[int]:
+    """The masks of a lattice int of one size in the order of
+    iter_subsets_colex: by lowest set bit, highest first, then larger
+    masks first; the empty set, the only subset of size 0, last."""
+    for group in map(sets.__and__, reversed(lowest)):
+        while group:
+            x = group.bit_length() - 1
+            yield x
+            group ^= 1 << x
+    if sets & 1:
+        yield 0
+
+
+def _rank_scan(
+    class_set: ClassSet,
+    size: int,
+    seeds: bool,
+    pairs: Sequence[tuple[int, int]] | None,
+    stop: Callable[[ColumnSet], bool] | None,
+    count_all: bool,
+) -> _Scan:
+    """_scan_size over the rank sets of the view positions (_blocks), a
+    fixed number of big-int operations per mask rather than per candidate.
+
+    The paired candidates are those holding both columns of a pair, the
+    seed-free ones meet every seed-test mask twice (the triple masks, or
+    above _TRIPLE_MASK_CAP triples the view complements of the
+    (k-1)-seeds: a k-set contains a (k-1)-set S iff it meets ~S at most
+    once), and the tests meet every difference mask.  A k-subset of w
+    positions meets every mask of more than w-k positions, and twice every
+    one of more than w-k+1, so those masks are skipped.
     """
     columns = class_set.columns
     width = len(columns)
     scan = _Scan([])
-    if not 0 <= size <= width:
-        return scan
     triples: Iterable[tuple[int, ...]] = ()
     if seeds and size >= 2:
         if class_set.triple_count <= _TRIPLE_MASK_CAP:

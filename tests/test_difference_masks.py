@@ -4,8 +4,9 @@ A column set is a local test iff it meets every within-class difference
 a ^ b, and a column of a local test separates some pair alone iff the
 test meets some minimal difference in that column only.  These tests pin
 ClassSet.difference_masks to its definition, and the decisions read off
-them (is_local_test, the search's dead-end verdict) to first_collision
-and the group-by reference of test_flip_probe on every column subset.
+them (is_local_test, the search's dead-end verdict in both its forms)
+to first_collision and the group-by reference of test_flip_probe on
+every column subset.
 """
 
 import random
@@ -23,9 +24,7 @@ from mintest import (
     partition_by_mandatory,
 )
 from mintest.pruning import first_collision
-from mintest.search import _local_verdict
-
-from test_flip_probe import reference_local_deadend
+from test_flip_probe import local_verdicts, reference_local_deadend
 
 
 def make_class_set(rng, width, sizes):
@@ -110,8 +109,8 @@ def assert_decisions_agree(class_set):
         test = is_local_test(class_set, cols)
         assert test == (first_collision(class_set, cols) is None), cols
         if test:
-            verdict = _local_verdict(class_set, cols)
-            assert verdict == reference_local_deadend(class_set, cols), cols
+            verdict = reference_local_deadend(class_set, cols)
+            assert local_verdicts(class_set, cols) == [verdict] * 2, cols
             kinds.add(verdict.ok)
     return kinds
 

@@ -3,7 +3,8 @@
 find_mandatory and is_deadend read distance-1 pairs off one hash probe
 (flip_pairs).  These tests pin their output, order included, to
 straightforward all-pairs and group-and-sort references written out here.
-The search's local dead-end verdict is pinned to a group-by reference too.
+The search's local dead-end verdict is pinned to a group-by reference too,
+in both its forms: on the subset lattice and on the minimal differences.
 """
 
 import random
@@ -30,6 +31,7 @@ from mintest import (
     partition_by_mandatory,
     sort_rows_by_binary_value,
 )
+import mintest.search as search
 from mintest.matrix import flip_pairs
 from mintest.search import _local_verdict
 
@@ -84,6 +86,19 @@ def reference_local_deadend(class_set, columns):
         if not alone and (redundant is None or c > redundant):
             redundant = c
     return DeadendCheck(ok=redundant is None, witnesses=(), redundant=redundant)
+
+
+def local_verdicts(class_set, columns):
+    """_local_verdict on the subset lattice, then with the lattice cap
+    forced to 0 (the minimal-difference form)."""
+    width = search._LATTICE_WIDTH
+    try:
+        verdicts = [_local_verdict(class_set, columns)]
+        search._LATTICE_WIDTH = 0
+        verdicts.append(_local_verdict(class_set, columns))
+    finally:
+        search._LATTICE_WIDTH = width
+    return verdicts
 
 
 @st.composite
@@ -250,9 +265,9 @@ class TestLocalDeadendReference:
     @given(class_sets())
     def test_every_local_test_of_random_class_sets(self, class_set):
         for cols in all_local_tests(class_set):
-            assert _local_verdict(class_set, cols) == reference_local_deadend(
-                class_set, cols
-            )
+            assert local_verdicts(class_set, cols) == [
+                reference_local_deadend(class_set, cols)
+            ] * 2
 
     def test_seeded_partitioned_matrices(self):
         kinds = set()
@@ -264,11 +279,11 @@ class TestLocalDeadendReference:
                 continue
             cs = class_views(m, partition)
             for cols in all_local_tests(cs):
-                check = _local_verdict(cs, cols)
-                assert check == reference_local_deadend(cs, cols)
+                check = reference_local_deadend(cs, cols)
+                assert local_verdicts(cs, cols) == [check] * 2
                 kinds.add(check.ok)
         assert kinds == {True, False}
 
     def test_fixture(self, m8):
         for cols in all_local_tests(m8):
-            assert _local_verdict(m8, cols) == reference_local_deadend(m8, cols)
+            assert local_verdicts(m8, cols) == [reference_local_deadend(m8, cols)] * 2

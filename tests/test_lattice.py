@@ -1,0 +1,136 @@
+"""The subset-lattice path of the search against its definitions and
+against the rank-set kernel.
+
+On a view of w <= search._LATTICE_WIDTH columns, bit x of a 2^w-bit int
+stands for the column subset with view mask x.  mandatory._lattice holds
+the per-width tables; ClassSet.non_tests and ClassSet.seed_up are the
+set families the scan and the dead-end verdict read.  Forcing
+search._LATTICE_WIDTH = 0 sends every class set to the rank-set kernel,
+which must give byte-identical reports.
+"""
+
+import random
+
+import pytest
+from hypothesis import given, settings
+
+from conftest import random_matrix
+
+import mintest.mandatory as mandatory
+import mintest.search as search
+from mintest import (
+    ClassSet,
+    ClassView,
+    SearchConfig,
+    enumerate_local_minimal_tests,
+    enumerate_minimal_tests,
+    is_local_test,
+    iter_subsets_colex,
+)
+from mintest.mandatory import _lattice
+from mintest.search import _colex_masks
+
+from test_difference_masks import class_sets
+from test_scan_kernel import SEEDED, contains_seed
+
+CONFIGS = {
+    "default": SearchConfig(),
+    "first_only": SearchConfig(first_only=True),
+    "no_seed": SearchConfig(seed_prune=False),
+    "no_pair": SearchConfig(pair_prune=False),
+    "both_off": SearchConfig(seed_prune=False, pair_prune=False),
+    "no_heuristic": SearchConfig(use_heuristic=False),
+    "initial_1": SearchConfig(initial_length=1),
+    "initial_3": SearchConfig(initial_length=3),
+}
+
+
+def bits(width, keep):
+    return sum(1 << x for x in range(1 << width) if keep(x))
+
+
+@pytest.mark.parametrize("width", range(9))
+def test_tables_mark_their_subsets(width):
+    lattice = _lattice(width)
+    assert lattice.holding == tuple(
+        bits(width, lambda x: x >> b & 1) for b in range(width)
+    )
+    assert lattice.layers == tuple(
+        bits(width, lambda x: x.bit_count() == k) for k in range(width + 1)
+    )
+    assert lattice.lowest == tuple(
+        bits(width, lambda x: x and (x & -x) == 1 << j) for j in range(width)
+    )
+    assert lattice.clear_below == tuple(
+        bits(width, lambda x: not x & (1 << j) - 1) for j in range(width + 1)
+    )
+
+
+@pytest.mark.parametrize("width", range(9))
+def test_masks_decode_in_scan_order(width):
+    lattice = _lattice(width)
+    for size in range(width + 1):
+        subsets = iter_subsets_colex(range(width), size)
+        want = [sum(1 << (width - 1 - p) for p in s) for s in subsets]
+        assert list(_colex_masks(lattice.layers[size], lattice.lowest)) == want
+
+
+def assert_families(class_set):
+    """non_tests and seed_up against is_local_test and contains_seed, on
+    every view mask."""
+    width = len(class_set.columns)
+    for size in range(width + 1):
+        for subset in iter_subsets_colex(class_set.columns, size):
+            x = class_set.mask(subset)
+            test = is_local_test(class_set, subset)
+            assert class_set.non_tests >> x & 1 == (not test)
+            assert class_set.seed_up >> x & 1 == contains_seed(class_set, subset)
+
+
+class TestSetFamilies:
+    def test_seeded_class_sets(self):
+        for cs in SEEDED:
+            assert_families(cs)
+
+    @settings(max_examples=100, deadline=None)
+    @given(class_sets())
+    def test_hypothesis(self, class_set):
+        assert_families(class_set)
+
+
+def one_class(width, rows, seed):
+    rng = random.Random(seed)
+    values = tuple(rng.sample(range(1 << width), rows))
+    view = ClassView("M1", (), tuple(range(1, rows + 1)), values)
+    return ClassSet(columns=tuple(range(1, width + 1)), classes=(view,))
+
+
+@pytest.mark.parametrize("above", [False, True])
+def test_tables_stay_within_the_cap(monkeypatch, above):
+    """A view at the cap is scanned on the lattice, one past it over rank
+    sets; either way the report is the rank-set kernel's, and no table
+    wider than the cap is built."""
+    monkeypatch.setattr(mandatory, "_LATTICES", {})
+    width = search._LATTICE_WIDTH + above
+    class_set = one_class(width, 16, width)
+    report = enumerate_local_minimal_tests(class_set)
+    assert max(mandatory._LATTICES, default=0) <= search._LATTICE_WIDTH
+    assert (width in mandatory._LATTICES) == (not above)
+    monkeypatch.setattr(search, "_LATTICE_WIDTH", 0)
+    assert enumerate_local_minimal_tests(one_class(width, 16, width)) == report
+
+
+@pytest.mark.parametrize("config", CONFIGS.values(), ids=CONFIGS.keys())
+def test_reports_equal_the_rank_set_kernel(monkeypatch, config):
+    matrices = [
+        random_matrix(
+            seed,
+            rows=(12, 16, 24)[seed % 3],
+            cols=(8, 10, 12)[seed // 3 % 3],
+            density=(0.3, 0.5, 0.7)[seed // 9 % 3],
+        )
+        for seed in range(60)
+    ]
+    lattice = [enumerate_minimal_tests(m, config).to_json() for m in matrices]
+    monkeypatch.setattr(search, "_LATTICE_WIDTH", 0)
+    assert [enumerate_minimal_tests(m, config).to_json() for m in matrices] == lattice

@@ -5,6 +5,8 @@ of the k-subsets that contain it, numbered in scan order (that of
 iter_subsets_colex) or in lexicographic order.  search._blocks cuts one
 scan into contiguous rank blocks of at most search._BLOCK ranks.  The
 scan must give the same tests, hit and counters whatever the block size.
+The scan tests here force the rank-set kernel (search._LATTICE_WIDTH = 0),
+which otherwise serves only views wider than the lattice cap.
 """
 
 import random
@@ -64,6 +66,11 @@ def test_blocks_cut_the_scan_order_into_runs(monkeypatch, block):
             assert done == len(subsets)
 
 
+@pytest.fixture
+def rank_sets(monkeypatch):
+    monkeypatch.setattr(search, "_LATTICE_WIDTH", 0)
+
+
 @pytest.fixture(params=[1, 3, 7])
 def small_block(request, monkeypatch):
     monkeypatch.setattr(search, "_BLOCK", request.param)
@@ -71,7 +78,9 @@ def small_block(request, monkeypatch):
 
 
 @pytest.mark.parametrize("fallback", [False, True])
-def test_small_blocks_agree_with_the_reference(monkeypatch, small_block, fallback):
+def test_small_blocks_agree_with_the_reference(
+    monkeypatch, rank_sets, small_block, fallback
+):
     if fallback:
         monkeypatch.setattr(search, "_TRIPLE_MASK_CAP", 0)
     totals = {"seed": 0, "pair": 0, "hit": 0}
@@ -84,20 +93,17 @@ def test_small_blocks_agree_with_the_reference(monkeypatch, small_block, fallbac
 @settings(max_examples=40, deadline=None)
 @given(class_sets(), st.sampled_from([1, 3, 7]), st.booleans())
 def test_small_blocks_hypothesis(class_set, block, fallback):
-    saved = search._BLOCK, search._TRIPLE_MASK_CAP
+    saved = search._BLOCK, search._TRIPLE_MASK_CAP, search._LATTICE_WIDTH
     search._BLOCK = block
     search._TRIPLE_MASK_CAP = 0 if fallback else saved[1]
+    search._LATTICE_WIDTH = 0
     try:
         assert_scans_agree(class_set)
     finally:
-        search._BLOCK, search._TRIPLE_MASK_CAP = saved
+        search._BLOCK, search._TRIPLE_MASK_CAP, search._LATTICE_WIDTH = saved
 
 
-@pytest.mark.parametrize("block", [3, search._BLOCK])
-def test_count_all_counts_past_the_hit(monkeypatch, block):
-    """With count_all the tests end at the hit and the counters cover the
-    whole size, as in the scan without a stop."""
-    monkeypatch.setattr(search, "_BLOCK", block)
+def assert_count_all_counts_past_the_hit():
     hits = 0
     for cs in SEEDED:
         pairs = paired_positions(cs)
@@ -118,7 +124,20 @@ def test_count_all_counts_past_the_hit(monkeypatch, block):
     assert hits
 
 
-def test_no_rank_set_is_wider_than_a_block(monkeypatch):
+@pytest.mark.parametrize("block", [3, search._BLOCK])
+def test_count_all_counts_past_the_hit(monkeypatch, rank_sets, block):
+    """With count_all the tests end at the hit and the counters cover the
+    whole size, as in the scan without a stop."""
+    monkeypatch.setattr(search, "_BLOCK", block)
+    assert_count_all_counts_past_the_hit()
+
+
+def test_count_all_counts_past_the_hit_on_the_lattice():
+    assert max(len(cs.columns) for cs in SEEDED) <= search._LATTICE_WIDTH
+    assert_count_all_counts_past_the_hit()
+
+
+def test_no_rank_set_is_wider_than_a_block(monkeypatch, rank_sets):
     built = []
     build = search._rank_sets
 

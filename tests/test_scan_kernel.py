@@ -1,12 +1,14 @@
 """The bit-sliced subset scan against a reference scan.
 
-search._scan_size decides the subsets of one size in bulk over rank sets
-and tests seeds with the triple masks (or, above a triple cap, with the
-complements of the multiplicity seeds).  The reference here enumerates
-the same order with iter_subsets_colex, tests seeds by probing each
-candidate's one-smaller submasks in seed_masks, pairs by covering a
-paired-column mask, and local tests by scanning rows (first_collision).
-Both must agree on the tests found, the hit, and every counter.
+search._scan_size decides the subsets of one size in bulk, on the subset
+lattice of the view or, above a width cap (forced here with
+search._LATTICE_WIDTH = 0), over rank sets.  It tests seeds with the
+triple unions, or above a triple cap with the multiplicity seeds.  The
+reference here enumerates the same order with iter_subsets_colex, tests
+seeds by probing each candidate's one-smaller submasks in seed_masks,
+pairs by covering a paired-column mask, and local tests by scanning rows
+(first_collision).  Both kernels must agree with it on the tests found,
+the hit, and every counter.
 """
 
 import gc
@@ -136,10 +138,15 @@ def seeded_class_sets():
 SEEDED = seeded_class_sets()
 
 
-@pytest.fixture(params=["triples", "fallback"])
+@pytest.fixture(
+    params=["triples", "fallback", "triples-rank-sets", "fallback-rank-sets"]
+)
 def seed_source(request, monkeypatch):
-    if request.param == "fallback":
+    """The seed source crossed with the kernel: the lattice, or rank sets."""
+    if request.param.startswith("fallback"):
         monkeypatch.setattr(search, "_TRIPLE_MASK_CAP", 0)
+    if request.param.endswith("rank-sets"):
+        monkeypatch.setattr(search, "_LATTICE_WIDTH", 0)
     return request.param
 
 
@@ -172,26 +179,29 @@ class TestKernelAgainstReference:
         assert seen["seed"] and seen["hit"]
 
     @settings(max_examples=60, deadline=None)
-    @given(class_sets(), st.booleans())
-    def test_hypothesis(self, class_set, fallback):
-        cap = search._TRIPLE_MASK_CAP
-        search._TRIPLE_MASK_CAP = 0 if fallback else cap
+    @given(class_sets(), st.booleans(), st.booleans())
+    def test_hypothesis(self, class_set, fallback, rank_sets):
+        saved = search._TRIPLE_MASK_CAP, search._LATTICE_WIDTH
+        search._TRIPLE_MASK_CAP = 0 if fallback else saved[0]
+        search._LATTICE_WIDTH = 0 if rank_sets else saved[1]
         try:
             assert_scans_agree(class_set)
         finally:
-            search._TRIPLE_MASK_CAP = cap
+            search._TRIPLE_MASK_CAP, search._LATTICE_WIDTH = saved
 
 
-def test_single_row_classes_make_every_set_a_test():
+def test_single_row_classes_make_every_set_a_test(monkeypatch):
     cs = ClassSet(
         columns=(1, 2, 3),
         classes=tuple(ClassView(f"M{i}", (), (i,), (i,)) for i in (1, 2)),
     )
     assert cs.difference_masks == ()
-    for size in range(4):
-        scan = _scan_size(cs, size, True, None)
-        assert scan.tests == list(iter_subsets_colex(cs.columns, size))
-    assert_scans_agree(cs)
+    for width in (search._LATTICE_WIDTH, 0):
+        monkeypatch.setattr(search, "_LATTICE_WIDTH", width)
+        for size in range(4):
+            scan = _scan_size(cs, size, True, None)
+            assert scan.tests == list(iter_subsets_colex(cs.columns, size))
+        assert_scans_agree(cs)
 
 
 @pytest.mark.parametrize("rows,fallback", [(85, False), (86, True)])
@@ -203,8 +213,11 @@ def test_seed_source_switches_at_the_triple_cap(monkeypatch, rows, fallback):
     )
     cs = random_class_set(random.Random(rows), 8, [rows])
     assert (cs.triple_count > search._TRIPLE_MASK_CAP) == fallback
-    assert kernel_scan(cs, 3, True, False) == reference_scan(cs, 3, True, False)
-    assert calls == ([2] if fallback else [])
+    for width in (search._LATTICE_WIDTH, 0):
+        monkeypatch.setattr(search, "_LATTICE_WIDTH", width)
+        calls.clear()
+        assert kernel_scan(cs, 3, True, False) == reference_scan(cs, 3, True, False)
+        assert calls == ([2] if fallback else [])
 
 
 def met_at_most_once(class_set, mask):
