@@ -3,7 +3,8 @@
 Verbs: analyze, enumerate, verify, oracle, gen, bench.  Inputs are matrix
 files (one '0'/'1' row per line) or class-set files (see the data format
 docs); bundled fixture names are accepted wherever a path is.  Exit codes:
-0 success, 1 input error, 2 verification mismatch, 3 resource ceiling.
+0 success, 1 input error (a malformed command line included), 2
+verification mismatch, 3 resource ceiling.
 """
 
 from __future__ import annotations
@@ -76,6 +77,12 @@ def _load_any(source: str) -> BooleanMatrix | ClassSet:
     return parse_matrix(text)
 
 
+def _at_least(flag: str, value: int, low: int = 0) -> None:
+    """Refuse a numeric flag below its least allowed value."""
+    if value < low:
+        raise MatrixFormatError(f"{flag} must be >= {low}, got {value}")
+
+
 def _two_rows(matrix: BooleanMatrix) -> BooleanMatrix:
     """The matrix, unless it has no row pair to separate."""
     if matrix.row_count < 2:
@@ -141,8 +148,7 @@ def _seed_lines(cs: ClassSet, k: int) -> list[str]:
 
 
 def _cmd_analyze(args) -> int:
-    if args.seed_size < 0:
-        raise MatrixFormatError(f"--seed-size must be >= 0, got {args.seed_size}")
+    _at_least("--seed-size", args.seed_size)
     data = _load_any(args.input)
     if isinstance(data, ClassSet):
         return _analyze_class_set(args, data)
@@ -368,6 +374,7 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    _at_least("--ceiling", args.ceiling)
     data = _load_any(args.input)
     if isinstance(data, ClassSet):
         raise MatrixFormatError("verify needs a full matrix input")
@@ -398,6 +405,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    _at_least("--ceiling", args.ceiling)
+    _at_least("--ceiling-deadend", args.ceiling_deadend)
     data = _load_any(args.input)
     if isinstance(data, ClassSet):
         raise MatrixFormatError("the oracle needs a full matrix input")
@@ -447,6 +456,9 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    _at_least("--count", args.count)
+    _at_least("--oracle-ceiling", args.oracle_ceiling)
+    _at_least("--workers", args.workers, 1)
     if args.fixture:
         from .fixtures import load_fixture_matrix
 
@@ -484,8 +496,18 @@ def _cmd_bench(args) -> int:
     return EXIT_OK if result.ok else EXIT_MISMATCH
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit with the input-error
+    code; argparse's own 2 would read as a verification mismatch.
+    Subcommand parsers are made of the same class."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mintest",
         description=(
             "Minimal distinguishing column sets (diagnostic tests) of Boolean "

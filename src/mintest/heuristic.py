@@ -62,7 +62,7 @@ def _stats(columns: Sequence[int], rows: Sequence[int], width: int) -> ColumnPai
         ones.append(sum((r >> shift) & 1 for r in rows))
     zeros = [m - o for o in ones]
     dist = [o * z for o, z in zip(ones, zeros)]
-    # Tuples from lists, for the reason given in mandatory._minimal_masks.
+    # Tuples from lists, for the reason given in ClassSet.positions.
     return ColumnPairStats(
         columns=tuple(columns),
         row_count=m,
@@ -132,7 +132,7 @@ def estimate_length(stats: ColumnPairStats) -> HeuristicEstimate:
     t = next((t for t, b in enumerate(betas, 1) if b * r_min <= threshold), 0)
     degenerate = t == 0 or betas[t - 1] <= threshold
     t0 = 1 if degenerate else t
-    # Tuples from lists, for the reason given in mandatory._minimal_masks.
+    # Tuples from lists, for the reason given in ClassSet.positions.
     return HeuristicEstimate(
         t0=t0,
         beta_t=betas[t0 - 1],

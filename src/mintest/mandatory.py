@@ -135,10 +135,6 @@ class ClassSet:
                 yield from map(row.__xor__, rows[i + 1 :])
 
     @cached_property
-    def _differences(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-        return _minimal_masks(set(self._pair_differences()), len(self.columns))
-
-    @property
     def difference_masks(self) -> tuple[int, ...]:
         """The inclusion-minimal row differences a ^ b inside the classes.
 
@@ -151,12 +147,12 @@ class ClassSet:
         a test).  The build takes O(sum of C(p,2)) XORs over classes of p
         rows, then the filter of _minimal_masks.
         """
-        return self._differences[0]
+        return _minimal_masks(set(self._pair_differences()), len(self.columns))
 
-    @property
+    @cached_property
     def difference_positions(self) -> tuple[tuple[int, ...], ...]:
         """The view positions each difference mask holds, mask by mask."""
-        return self._differences[1]
+        return tuple(map(self.positions, self.difference_masks))
 
     @property
     def triple_count(self) -> int:
@@ -175,10 +171,6 @@ class ClassSet:
                     yield from map(diff.__or__, diffs[j + 1 :])
 
     @cached_property
-    def _triples(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-        return _minimal_masks(set(self._triple_unions()), len(self.columns))
-
-    @property
     def triple_masks(self) -> tuple[int, ...]:
         """The inclusion-minimal masks (a ^ b) | (a ^ c) over the row
         triples inside the classes, ordered as difference_masks.
@@ -190,12 +182,12 @@ class ClassSet:
         often, so the minimal ones decide.  Empty when no class has three
         rows.  The build takes triple_count ORs.
         """
-        return self._triples[0]
+        return _minimal_masks(set(self._triple_unions()), len(self.columns))
 
-    @property
+    @cached_property
     def triple_positions(self) -> tuple[tuple[int, ...], ...]:
         """The view positions each triple mask holds, mask by mask."""
-        return self._triples[1]
+        return tuple(map(self.positions, self.triple_masks))
 
     @cached_property
     def non_tests(self) -> int:
@@ -229,6 +221,9 @@ class ClassSet:
             top = mask.bit_length()
             out.append(width - top)
             mask ^= 1 << top - 1
+        # From a list: tuple() of an iterator allocates ten slots and
+        # shrinks, so each tuple freed later would land in the free list
+        # of its final size and stay there, raising peak memory.
         return tuple(out)
 
     def mask(self, columns: Iterable[int]) -> int:
@@ -251,24 +246,19 @@ class ClassSet:
         return pair_count(self.total_rows) if self.total_rows else None
 
 
-def _minimal_masks(
-    candidates: Iterable[int], width: int
-) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    """The inclusion-minimal masks among the width-bit candidates, and
-    the view positions each of them holds (0 for the highest bit).
+def _minimal_masks(candidates: Iterable[int], width: int) -> tuple[int, ...]:
+    """The inclusion-minimal masks among the width-bit candidates.
 
     Candidates are taken fewest bits first, ties by value, which is the
     order of the result.  A candidate is dropped iff some kept mask lies
     inside it, that is has no bit outside it.  For each bit, one int with
     a bit per kept mask marks the kept masks holding it; ORing those over
     the candidate's clear bits then misses that mask.  Each candidate
-    costs one OR per clear bit, and each kept mask one step per set bit,
-    which also records its positions.
+    costs one OR per clear bit, and each kept mask one step per set bit.
     """
     full = (1 << width) - 1
     hits = {1 << b: 0 for b in range(width)}
     kept: list[int] = []
-    kept_positions: list[tuple[int, ...]] = []
     every = 0  # one bit per kept mask
     for cand in sorted(sorted(candidates), key=int.bit_count):
         outside = 0
@@ -282,19 +272,12 @@ def _minimal_masks(
         flag = 1 << len(kept)
         kept.append(cand)
         every |= flag
-        held = []
         rest = cand
         while rest:
-            top = rest.bit_length()
-            bit = 1 << top - 1
-            hits[bit] |= flag
-            held.append(width - top)
-            rest ^= bit
-        # From a list: tuple() of an iterator allocates ten slots and
-        # shrinks, so each tuple freed later would land in the free list
-        # of its final size and stay there, raising peak memory.
-        kept_positions.append(tuple(held))
-    return tuple(kept), tuple(kept_positions)
+            low = rest & -rest
+            hits[low] |= flag
+            rest ^= low
+    return tuple(kept)
 
 
 @dataclass(frozen=True)

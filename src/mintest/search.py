@@ -481,7 +481,7 @@ def _lattice_scan(
     cut = every
     bit_of = class_set.bit_of
     for x in _colex_masks(tests, lattice.lowest):
-        # from a list, for the reason given in mandatory._minimal_masks
+        # from a list, for the reason given in ClassSet.positions
         subset = tuple([c for c in columns if x & bit_of[c]])
         scan.tests.append(subset)
         if stop is not None and stop(subset):
@@ -566,7 +566,7 @@ def _rank_scan(
         cut = every
         while tests:
             low = tests & -tests
-            # from a list, for the reason given in mandatory._minimal_masks
+            # from a list, for the reason given in ClassSet.positions
             subset = tuple([c for c, s in zip(columns, sets) if s & low])
             scan.tests.append(subset)
             if stop is not None and stop(subset):

@@ -1,8 +1,10 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 
-from mintest.cli import main
+from mintest.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -403,6 +405,107 @@ class TestGenAndBench:
         assert code == 0
         summary = json.loads(err)
         assert summary["mismatches"] == 0
+
+
+class TestUsageErrors:
+    """A malformed command line is an input error (exit 1); argparse's
+    own 2 would read as a verification mismatch."""
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["bench", "--count", "abc"], "argument --count: invalid int value: 'abc'"),
+            (["analyze"], "the following arguments are required: --input"),
+            (["analyze", "--input", "q25x10", "--bogus"], "unrecognized arguments: --bogus"),
+        ],
+        ids=["bad-int", "missing-input", "unknown-flag"],
+    )
+    def test_usage_error_exit_1(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out = capsys.readouterr()
+        assert exc.value.code == 1
+        assert out.out == ""
+        assert out.err.startswith("usage: mintest")
+        assert out.err.endswith(f"error: {message}\n")
+
+
+class TestNegativeFlags:
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["bench", "--count", "-1"], "--count must be >= 0, got -1"),
+            (["bench", "--workers", "0"], "--workers must be >= 1, got 0"),
+            (["bench", "--workers", "-2"], "--workers must be >= 1, got -2"),
+            (["bench", "--oracle-ceiling", "-1"], "--oracle-ceiling must be >= 0, got -1"),
+            (
+                ["verify", "--input", "q25x10", "--test", "1,2", "--ceiling", "-1"],
+                "--ceiling must be >= 0, got -1",
+            ),
+            (["oracle", "--input", "q25x10", "--ceiling", "-1"], "--ceiling must be >= 0, got -1"),
+            (
+                ["oracle", "--input", "q25x10", "--deadend", "--ceiling-deadend", "-1"],
+                "--ceiling-deadend must be >= 0, got -1",
+            ),
+        ],
+        ids=[
+            "bench-count",
+            "bench-workers-0",
+            "bench-workers-negative",
+            "bench-oracle-ceiling",
+            "verify-ceiling",
+            "oracle-ceiling",
+            "oracle-ceiling-deadend",
+        ],
+    )
+    def test_exit_1(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == f"error: {message}\n"
+
+    def test_zero_count_and_ceiling_allowed(self, capsys):
+        code, out, _ = run(capsys, "bench", "--count", "0", "--deterministic")
+        assert code == 0
+        assert out.startswith("seed,m,n,density")
+        assert len(out.splitlines()) == 1
+        code, out, _ = run(
+            capsys, "verify", "--input", "q25x10", "--test", "1,2,4,5,6,8,10",
+            "--ceiling", "0",
+        )
+        assert code == 0
+        assert "minimal: unknown" in out
+
+
+def readme_usage_entries():
+    """The CLI usage block of the README, one string per subcommand with
+    its continuation lines joined."""
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## CLI\n", 1)[1].split("```text\n", 1)[1].split("```", 1)[0]
+    entries: dict[str, str] = {}
+    for line in block.splitlines():
+        if line.startswith("mintest "):
+            command = line.split()[1]
+            entries[command] = line
+        else:
+            entries[command] += line
+    return entries
+
+
+LONG_OPTION = re.compile(r"(?<![\w-])--[a-z][a-z0-9-]*")
+
+
+def test_readme_usage_block_lists_every_option(capsys):
+    parser = build_parser()
+    commands = re.search(r"\{([a-z,]+)\}", parser.format_usage()).group(1).split(",")
+    entries = readme_usage_entries()
+    assert sorted(entries) == sorted(commands)
+    for command in commands:
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args([command, "--help"])
+        assert exc.value.code == 0
+        shown = set(LONG_OPTION.findall(capsys.readouterr().out)) - {"--help"}
+        listed = set(LONG_OPTION.findall(entries[command]))
+        assert sorted(shown - listed) == [], command
 
 
 @pytest.fixture

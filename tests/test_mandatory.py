@@ -1,12 +1,20 @@
+import json
+import tempfile
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import Q25_CLASSES, random_matrix
 
 from mintest import (
     BooleanMatrix,
+    ClassSet,
+    ClassView,
     candidate_pairs,
     class_views,
     distinguishing_columns,
+    enumerate_local_minimal_tests,
     find_mandatory,
     load_fixture_classes,
     oracle_minimal_tests,
@@ -14,6 +22,7 @@ from mintest import (
     parse_matrix,
     partition_by_mandatory,
 )
+from mintest.cli import main
 from mintest.matrix import MatrixFormatError
 
 
@@ -236,3 +245,67 @@ class TestClassSetParsing:
         assert m8.mask((1, 9)) == 0b1001
         with pytest.raises(ValueError):
             m8.mask((2,))
+
+
+@st.composite
+def class_set_files(draw):
+    """A small class set and its text in the parse_class_set format:
+    distinct column labels, optional mandatory labels apart from them
+    (in any order), an optional parent row count of at least the class
+    rows, rows distinct within each class and row labels distinct."""
+    labels = st.integers(1, 40)
+    columns = tuple(draw(st.lists(labels, min_size=1, max_size=6, unique=True)))
+    mandatory = draw(
+        st.none()
+        | st.lists(labels.filter(lambda c: c not in columns), max_size=4, unique=True)
+    )
+    width = len(columns)
+    sizes = draw(st.lists(st.integers(1, min(5, 1 << width)), min_size=1, max_size=4))
+    row_labels = iter(
+        draw(st.lists(st.integers(1, 500), min_size=sum(sizes), max_size=sum(sizes), unique=True))
+    )
+    total_rows = draw(st.none() | st.integers(sum(sizes), sum(sizes) + 10))
+    lines = ["columns: " + " ".join(map(str, columns))]
+    if mandatory is not None:
+        lines.append("mandatory: " + " ".join(map(str, mandatory)))
+    if total_rows is not None:
+        lines.append(f"parent-rows: {total_rows}")
+    key_width = len(mandatory or ())
+    classes = []
+    for i, size in enumerate(sizes):
+        key = tuple(draw(st.lists(st.integers(0, 1), min_size=key_width, max_size=key_width)))
+        rows = tuple(
+            draw(st.lists(st.integers(0, (1 << width) - 1), min_size=size, max_size=size, unique=True))
+        )
+        labs = tuple(next(row_labels) for _ in rows)
+        classes.append(ClassView(name=f"M{i + 1}", key=key, row_labels=labs, rows=rows))
+        lines.append(("class " + "".join(map(str, key))).rstrip())
+        lines.extend(f"{lab}: {row:0{width}b}" for lab, row in zip(labs, rows))
+    class_set = ClassSet(
+        columns=columns,
+        classes=tuple(classes),
+        mandatory=tuple(sorted(mandatory or ())),
+        total_rows=total_rows,
+    )
+    return class_set, "\n".join(lines) + "\n"
+
+
+class TestClassSetFileRoundTrip:
+    @settings(max_examples=60, deadline=None)
+    @given(class_set_files())
+    def test_parse_and_enumerate(self, drawn):
+        class_set, text = drawn
+        parsed = parse_class_set(text)
+        assert parsed.columns == class_set.columns
+        assert parsed.classes == class_set.classes
+        assert parsed.mandatory == class_set.mandatory
+        assert parsed.total_rows == class_set.total_rows
+        report = enumerate_local_minimal_tests(class_set)
+        with tempfile.TemporaryDirectory() as tmp:
+            source, output = Path(tmp, "classes.txt"), Path(tmp, "report.json")
+            source.write_text(text, encoding="utf-8")
+            argv = ["enumerate", "--input", str(source), "--json", "--output", str(output)]
+            assert main(argv) == 0
+            doc = json.loads(output.read_text(encoding="utf-8"))
+        assert doc["local_length"] == report.local_length
+        assert doc["local_tests"] == [list(t) for t in report.local_tests]
