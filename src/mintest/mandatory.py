@@ -154,7 +154,7 @@ class ClassSet:
         """The view positions each difference mask holds, mask by mask."""
         return tuple(map(self.positions, self.difference_masks))
 
-    @property
+    @cached_property
     def triple_count(self) -> int:
         """Row triples inside the classes: sum of C(p,3) over classes of
         p rows, the size of the triple_masks build."""
@@ -199,6 +199,13 @@ class ClassSet:
         """
         width = len(self.columns)
         return _down_closure(_complement_bits(self._pair_differences(), width), width)
+
+    @cached_property
+    def non_test_bytes(self) -> bytes:
+        """non_tests as little-endian bytes: bit x is bit x & 7 of byte
+        x >> 3, read without the shift of 2^w bits that non_tests >> x
+        takes."""
+        return self.non_tests.to_bytes((1 << len(self.columns)) + 7 >> 3, "little")
 
     @cached_property
     def seed_up(self) -> int:
@@ -424,15 +431,19 @@ def partition_by_mandatory(
     """
     mand = normalize_columns(mandatory, matrix.col_count)
     n = matrix.col_count
-    groups: dict[tuple[int, ...], list[int]] = {}
+    mask = matrix.column_mask(mand)
+    groups: dict[int, list[int]] = {}
     for lab, bits in sorted(zip(matrix.row_labels, matrix.rows)):
-        key = tuple((bits >> (n - c)) & 1 for c in mand)
-        groups.setdefault(key, []).append(lab)
+        groups.setdefault(bits & mask, []).append(lab)
     classes = []
     singles: list[int] = []
     single_keys: list[tuple[int, ...]] = []
-    for ordinal, key in enumerate(sorted(groups), start=1):
-        members = groups[key]
+    # The mandatory columns ascend as their bits descend, so the masked
+    # values sort as the keys do.
+    for ordinal, value in enumerate(sorted(groups), start=1):
+        members = groups[value]
+        # from a list, for the reason given in ClassSet.positions
+        key = tuple([value >> (n - c) & 1 for c in mand])
         if len(members) >= 2:
             classes.append(
                 PartitionClass(key=key, ordinal=ordinal, members=tuple(members))

@@ -130,16 +130,6 @@ class BooleanMatrix:
             mask |= 1 << (self.col_count - c)
         return mask
 
-    def column_bits(self, column: int) -> int:
-        """One column as an int over rows in current order (first row = MSB)."""
-        if not 1 <= column <= self.col_count:
-            raise ValueError(f"column {column} out of range 1..{self.col_count}")
-        shift = self.col_count - column
-        v = 0
-        for r in self.rows:
-            v = (v << 1) | ((r >> shift) & 1)
-        return v
-
 
 def parse_matrix(text: str) -> BooleanMatrix:
     """Parse matrix text: one '0'/'1' row per line, '#' comments, blanks ignored.

@@ -33,7 +33,10 @@ Three independent facts shrink the search, all phrased over a ClassSet:
 
 * Paired columns.  Two columns that are equal or complementary separate
   exactly the same row pairs, so one of them is redundant in any test that
-  contains both: no dead-end (and so no minimal) test uses both.
+  contains both: no dead-end (and so no minimal) test uses both.  One
+  partition refinement finds them, over the whole matrix or per class
+  (_paired_positions): each row splits every block of columns by where
+  it differs from the first row of its group.
 
 The cycle-cost helper compares the work of refuting all (t-1)-subsets
 directly against scanning (t-2)-subsets for multiplicity seeds first.
@@ -254,6 +257,39 @@ def residual_pairs_lower_bound(p: int) -> int:
     return p * (p - 1) // 2 - (p * p) // 4
 
 
+def _paired_positions(
+    groups: Iterable[Sequence[int]], width: int
+) -> list[tuple[int, int]]:
+    """The pairs of bit positions (i < j, position 0 the highest of width
+    bits) whose bits are equal or complementary across the rows of every
+    group; the polarity may differ between groups.
+
+    Two positions relate so in a group iff each row differs from the
+    group's first row in both or in neither, so each row splits every
+    block of positions by that difference (Paige & Tarjan, 1987), and a
+    block of one position is dropped.  On random rows none is left after
+    a few rows.
+    """
+    blocks = [(1 << width) - 1] if width >= 2 else []
+    for group in groups:
+        for row in group:
+            diff = row ^ group[0]
+            split = []
+            for block in blocks:
+                ones = block & diff
+                for part in (ones, block ^ ones):
+                    if part & part - 1:  # two or more positions
+                        split.append(part)
+            blocks = split
+            if not blocks:
+                return []
+    pairs = []
+    for block in blocks:
+        positions = [p for p in range(width) if block >> (width - 1 - p) & 1]
+        pairs.extend(combinations(positions, 2))
+    return sorted(pairs)
+
+
 def bijective_column_pairs(
     matrix: BooleanMatrix,
 ) -> tuple[tuple[int, int], ...]:
@@ -262,13 +298,8 @@ def bijective_column_pairs(
     Such columns separate identical sets of row pairs, so no dead-end test
     contains both members of a returned pair.
     """
-    full = (1 << matrix.row_count) - 1
-    cols = {c: matrix.column_bits(c) for c in range(1, matrix.col_count + 1)}
-    out = []
-    for a, b in combinations(range(1, matrix.col_count + 1), 2):
-        if cols[a] == cols[b] or cols[a] == (cols[b] ^ full):
-            out.append((a, b))
-    return tuple(out)
+    pairs = _paired_positions([matrix.rows], matrix.col_count)
+    return tuple((i + 1, j + 1) for i, j in pairs)
 
 
 def paired_view_columns(class_set: ClassSet) -> tuple[tuple[int, int], ...]:
@@ -279,25 +310,9 @@ def paired_view_columns(class_set: ClassSet) -> tuple[tuple[int, int], ...]:
     equal/complement pair restricted to the view and is the form the local
     search can use soundly.
     """
-    width = len(class_set.columns)
-    out = []
-    for i, j in combinations(range(width), 2):
-        ok = True
-        for view in class_set.classes:
-            si, sj = width - 1 - i, width - 1 - j
-            rel: int | None = None
-            for row in view.rows:
-                r = ((row >> si) & 1) ^ ((row >> sj) & 1)
-                if rel is None:
-                    rel = r
-                elif rel != r:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            out.append((class_set.columns[i], class_set.columns[j]))
-    return tuple(out)
+    columns = class_set.columns
+    pairs = _paired_positions([view.rows for view in class_set.classes], len(columns))
+    return tuple((columns[i], columns[j]) for i, j in pairs)
 
 
 def cycle_costs(k: int, p: int, n: int, t_ob: int, t0: int) -> CycleCost:

@@ -91,12 +91,7 @@ from .matrix import (
     normalize_columns,
 )
 from .oracle import OracleCeilingError, oracle_minimal_tests
-from .pruning import (
-    CycleCost,
-    cycle_costs,
-    paired_view_columns,
-    seed_masks,
-)
+from .pruning import CycleCost, _paired_positions, cycle_costs, seed_masks
 
 
 class SearchCeilingError(RuntimeError):
@@ -302,15 +297,19 @@ def _local_verdict(class_set: ClassSet, columns: ColumnSet) -> DeadendCheck:
     one of the test's intersections with the minimal differences.  On a
     view of at most _LATTICE_WIDTH columns it is one bit test per
     column: c is redundant iff the test without c is still a test, that
-    is no bit of ClassSet.non_tests.  The columns must already be a local
-    test.
+    is no bit of ClassSet.non_tests, read in ClassSet.non_test_bytes.
+    The columns must already be a local test.
     """
     mask = class_set.mask(columns)
     bit_of = class_set.bit_of
     if len(class_set.columns) <= _LATTICE_WIDTH:
-        non_tests = class_set.non_tests
+        non_tests = class_set.non_test_bytes
         redundant = max(
-            (c for c in columns if not non_tests >> (mask ^ bit_of[c]) & 1),
+            (
+                c
+                for c in columns
+                if not non_tests[(x := mask ^ bit_of[c]) >> 3] >> (x & 7) & 1
+            ),
             default=None,
         )
     else:
@@ -605,8 +604,7 @@ def _search_local(
     # only view columns appear here.
     pairs = None
     if config.pair_prune:
-        position = class_set.columns.index
-        pairs = [(position(a), position(b)) for a, b in paired_view_columns(class_set)]
+        pairs = _paired_positions([view.rows for view in class_set.classes], n_free)
     verdicts: dict[ColumnSet, DeadendCheck] = {}
 
     def deadend(columns: ColumnSet) -> DeadendCheck:

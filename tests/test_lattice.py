@@ -10,9 +10,10 @@ which must give byte-identical reports.
 """
 
 import random
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_matrix
 
@@ -28,7 +29,7 @@ from mintest import (
     iter_subsets_colex,
 )
 from mintest.mandatory import _lattice
-from mintest.search import _colex_masks
+from mintest.search import _colex_masks, _local_verdict
 
 from test_difference_masks import class_sets
 from test_scan_kernel import SEEDED, contains_seed
@@ -96,6 +97,44 @@ class TestSetFamilies:
     @given(class_sets())
     def test_hypothesis(self, class_set):
         assert_families(class_set)
+
+
+@st.composite
+def verdict_cases(draw):
+    """A class set of 1-4 classes of 2-10 distinct rows over up to 16
+    view columns, and the local tests to judge among the whole view, the
+    view less each one column and a few drawn subsets."""
+    width = draw(st.integers(1, 16))
+    classes = []
+    label = 1
+    for i in range(draw(st.integers(1, 4))):
+        rows = draw(
+            st.lists(
+                st.integers(0, (1 << width) - 1),
+                min_size=2,
+                max_size=min(10, 1 << width),
+                unique=True,
+            )
+        )
+        labels = tuple(range(label, label + len(rows)))
+        classes.append(ClassView(f"M{i + 1}", (), labels, tuple(rows)))
+        label += len(rows)
+    class_set = ClassSet(columns=tuple(range(1, width + 1)), classes=tuple(classes))
+    full = (1 << width) - 1
+    masks = [full] + [full ^ 1 << b for b in range(width)]
+    masks += draw(st.lists(st.integers(0, full), max_size=8))
+    bit_of = class_set.bit_of
+    subsets = [tuple(c for c in class_set.columns if x & bit_of[c]) for x in masks]
+    return class_set, [s for s in subsets if is_local_test(class_set, s)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(verdict_cases())
+def test_lattice_verdict_equals_the_rank_set_verdict(case):
+    class_set, tests = case
+    on_lattice = [_local_verdict(class_set, t) for t in tests]
+    with mock.patch.object(search, "_LATTICE_WIDTH", 0):
+        assert [_local_verdict(class_set, t) for t in tests] == on_lattice
 
 
 def one_class(width, rows, seed):

@@ -142,6 +142,47 @@ class TestPartition:
                     assert is_test(m, full) == is_local_test(cs, local)
 
 
+@st.composite
+def partition_inputs(draw):
+    """A matrix of 1-12 distinct rows over 1-8 columns with shuffled row
+    labels, and a column list in any order with repeats."""
+    width = draw(st.integers(1, 8))
+    rows = draw(
+        st.lists(
+            st.integers(0, (1 << width) - 1),
+            min_size=1,
+            max_size=min(12, 1 << width),
+            unique=True,
+        )
+    )
+    labels = draw(st.permutations(range(1, len(rows) + 1)))
+    matrix = BooleanMatrix(col_count=width, rows=tuple(rows), row_labels=tuple(labels))
+    return matrix, draw(st.lists(st.integers(1, width), max_size=2 * width))
+
+
+class TestPartitionDefinition:
+    @settings(max_examples=300, deadline=None)
+    @given(partition_inputs())
+    def test_groups_rows_by_key_tuple(self, drawn):
+        matrix, columns = drawn
+        mand = tuple(sorted(set(columns)))
+        groups = {}
+        for lab in sorted(matrix.row_labels):
+            key = tuple(matrix.cell(lab, c) for c in mand)
+            groups.setdefault(key, []).append(lab)
+        part = partition_by_mandatory(matrix, columns)
+        assert part.mandatory == mand
+        ordered = list(enumerate(sorted(groups), start=1))
+        assert [(c.key, c.ordinal, c.members) for c in part.classes] == [
+            (key, ordinal, tuple(groups[key]))
+            for ordinal, key in ordered
+            if len(groups[key]) > 1
+        ]
+        singles = [key for _, key in ordered if len(groups[key]) == 1]
+        assert part.singleton_keys == tuple(singles)
+        assert part.dropped_singletons == tuple(groups[key][0] for key in singles)
+
+
 class TestClassViews:
     def test_views_match_cells(self, q25):
         part = partition_by_mandatory(q25, (5, 8, 10))

@@ -1,11 +1,14 @@
 import math
 from collections import Counter
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_matrix
 
 from mintest import (
+    BooleanMatrix,
     ClassSet,
     ClassView,
     all_k_subsets_fail,
@@ -323,6 +326,98 @@ class TestBijectiveColumns:
                     for r in view.rows
                 }
                 assert len(rel) == 1
+
+
+def draw_plant(draw, width):
+    """None, or two distinct positions of width bits to pair."""
+    if width < 2 or not draw(st.booleans()):
+        return None
+    return draw(st.lists(st.integers(0, width - 1), min_size=2, max_size=2, unique=True))
+
+
+def plant(draw, rows, width, positions):
+    """The rows with the bit at the second position set equal or
+    complementary (polarity drawn) to the bit at the first; repeats are
+    dropped, first kept."""
+    if positions is None:
+        return rows
+    si, sj = (width - 1 - p for p in positions)
+    flip = draw(st.integers(0, 1))
+    planted = [row & ~(1 << sj) | ((row >> si & 1) ^ flip) << sj for row in rows]
+    return list(dict.fromkeys(planted))
+
+
+def distinct_rows(draw, width, max_size):
+    return draw(
+        st.lists(
+            st.integers(0, (1 << width) - 1),
+            min_size=1,
+            max_size=min(max_size, 1 << width),
+            unique=True,
+        )
+    )
+
+
+@st.composite
+def pairing_class_sets(draw):
+    """Class sets of 0-4 classes of 1-6 distinct rows over 0-7 view
+    columns in any label order; in some, one column pair is planted in
+    every class, each class drawing its own polarity."""
+    width = draw(st.integers(0, 7))
+    labels = st.lists(st.integers(1, 12), min_size=width, max_size=width, unique=True)
+    columns = tuple(draw(labels))
+    positions = draw_plant(draw, width)
+    views = []
+    label = 1
+    for i in range(draw(st.integers(0, 4))):
+        rows = plant(draw, distinct_rows(draw, width, 6), width, positions)
+        labels = tuple(range(label, label + len(rows)))
+        views.append(ClassView(f"M{i + 1}", (), labels, tuple(rows)))
+        label += len(rows)
+    return ClassSet(columns=columns, classes=tuple(views))
+
+
+@st.composite
+def pairing_matrices(draw):
+    """Matrices of 1-8 distinct rows over 1-7 columns, some with a
+    planted equal or complementary column pair."""
+    width = draw(st.integers(1, 7))
+    rows = distinct_rows(draw, width, 8)
+    rows = plant(draw, rows, width, draw_plant(draw, width))
+    return BooleanMatrix(
+        col_count=width, rows=tuple(rows), row_labels=tuple(range(1, len(rows) + 1))
+    )
+
+
+class TestPairedColumnsDefinition:
+    """Both paired-column functions against their definitions."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(pairing_class_sets())
+    def test_paired_view_columns(self, class_set):
+        width = len(class_set.columns)
+
+        def relations(view, i, j):
+            return {(r >> (width - 1 - i) ^ r >> (width - 1 - j)) & 1 for r in view.rows}
+
+        want = tuple(
+            (class_set.columns[i], class_set.columns[j])
+            for i, j in combinations(range(width), 2)
+            if all(len(relations(view, i, j)) == 1 for view in class_set.classes)
+        )
+        assert paired_view_columns(class_set) == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(pairing_matrices())
+    def test_bijective_column_pairs(self, matrix):
+        n = matrix.col_count
+        columns = [[r >> (n - c) & 1 for r in matrix.rows] for c in range(1, n + 1)]
+        want = tuple(
+            (a + 1, b + 1)
+            for a, b in combinations(range(n), 2)
+            if columns[a] == columns[b] or columns[a] == [1 - x for x in columns[b]]
+        )
+        assert bijective_column_pairs(matrix) == want
 
 
 class TestCycleCosts:
