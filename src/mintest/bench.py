@@ -1,7 +1,7 @@
 """Random-matrix stream benchmark: heuristic vs exact, pruned vs unpruned.
 
 Each record draws one matrix from the seeded stream, runs the analysis
-phase, the full search with and without pruning, and the exhaustive
+once, the class-set search with and without pruning, and the exhaustive
 oracle, then compares.  The pass criterion of a stream is that the pruned
 search returns exactly the oracle's minimal test set on every record.
 
@@ -11,25 +11,27 @@ CSV schema (one line per record):
     subsets_pruned,subsets_total,ms_analyze,ms_search,ms_oracle
 
 subsets_total is the number of subsets the unpruned search examined,
-subsets_pruned is how many of those the pruned search avoided.  Under
-deterministic mode the ms_* columns are written as 0.000 and the optional
-timestamp comment is suppressed, so reruns are byte-identical.  The
-unpruned search's time (ms_search_unpruned) is kept on the record for the
-summary's search-time ratio, not written to the CSV.
+subsets_pruned is how many of those the pruned search avoided.
+ms_analyze times the analysis: mandatory columns, partition and class
+views.  ms_search times the pruned class-set search, its length estimate
+included; no test is certified dead-end on the whole matrix.  The
+unpruned search's time (ms_search_unpruned, timed the same way) is kept
+on the record for the summary's search-time ratio, not written to the
+CSV.  Under deterministic mode the ms_* columns are written as 0.000 and
+the optional timestamp comment is suppressed, so reruns are
+byte-identical.
 """
 
 from __future__ import annotations
 
-import io
 import time
 from dataclasses import dataclass, replace
 
 from .generate import GenerationError, GeneratorConfig, derive_seeds, generate_matrix
-from .heuristic import column_pair_stats, estimate_length, union_pair_stats
 from .matrix import BooleanMatrix
 from .mandatory import class_views, find_mandatory, partition_by_mandatory
 from .oracle import oracle_minimal_tests
-from .search import SearchConfig, enumerate_minimal_tests
+from .search import SearchConfig, enumerate_local_minimal_tests
 
 CSV_COLUMNS = (
     "seed",
@@ -111,40 +113,37 @@ def bench_matrix(
     density: float = 0.0,
     oracle_ceiling: int = 22,
 ) -> ExperimentRecord:
-    """One benchmark record for an already-built matrix."""
+    """One benchmark record for an already-built matrix: the analysis
+    once, then the pruned and the unpruned search on its class set."""
     t0 = time.perf_counter()
-    mandatory = find_mandatory(matrix)
-    partition = partition_by_mandatory(matrix, mandatory.columns)
-    if partition.classes:
-        local = estimate_length(union_pair_stats(class_views(matrix, partition)))
-        heuristic_t0 = len(mandatory.columns) + local.t0
-    else:
-        heuristic_t0 = len(mandatory.columns)
-    column_pair_stats(matrix)
+    mandatory = find_mandatory(matrix).columns
+    class_set = class_views(matrix, partition_by_mandatory(matrix, mandatory))
     t1 = time.perf_counter()
-    report = enumerate_minimal_tests(matrix, _PRUNED)
+    # Each search runs on its own copy, so neither reuses the set
+    # families the other cached.
+    report = enumerate_local_minimal_tests(replace(class_set), _PRUNED)
     t2 = time.perf_counter()
-    bare = enumerate_minimal_tests(matrix, _UNPRUNED)
+    bare = enumerate_local_minimal_tests(replace(class_set), _UNPRUNED)
     t3 = time.perf_counter()
     exact_t0: int | None = None
-    mismatch = bare.minimal_tests != report.minimal_tests
+    mismatch = bare.integral_tests != report.integral_tests
     ms_oracle = 0.0
     if matrix.col_count <= oracle_ceiling:
         t4 = time.perf_counter()
         oracle = oracle_minimal_tests(matrix, n_ceiling=oracle_ceiling)
         ms_oracle = (time.perf_counter() - t4) * 1000.0
         exact_t0 = oracle.min_length
-        mismatch = mismatch or oracle.minimal_tests != report.minimal_tests
+        mismatch = mismatch or oracle.minimal_tests != report.integral_tests
     return ExperimentRecord(
         index=index,
         seed=seed,
         m=matrix.row_count,
         n=matrix.col_count,
         density=density,
-        mandatory_count=len(mandatory.columns),
-        heuristic_t0=heuristic_t0,
+        mandatory_count=len(mandatory),
+        heuristic_t0=len(mandatory) + (report.estimate.t0 if report.estimate else 0),
         exact_t0=exact_t0,
-        minimal_test_count=len(report.minimal_tests),
+        minimal_test_count=len(report.integral_tests),
         subsets_checked_with=report.stats.subsets_checked,
         subsets_checked_without=bare.stats.subsets_checked,
         ms_analyze=(t1 - t0) * 1000.0,
@@ -194,8 +193,19 @@ def run_benchmark(config: StreamConfig) -> BenchResult:
             records = list(pool.map(_run_one, jobs))
     else:
         records = [_run_one(j) for j in jobs]
-    if config.deterministic:
-        records = [untimed(r) for r in records]
+    return bench_result(records, config.deterministic)
+
+
+def bench_result(records: list[ExperimentRecord], deterministic: bool) -> BenchResult:
+    """The records with their mismatches and failures counted; under
+    deterministic mode every timing is zeroed."""
+    if deterministic:
+        records = [
+            replace(
+                r, ms_analyze=0.0, ms_search=0.0, ms_search_unpruned=0.0, ms_oracle=0.0
+            )
+            for r in records
+        ]
     return BenchResult(
         records=tuple(records),
         mismatches=sum(1 for r in records if r.mismatch),
@@ -203,48 +213,22 @@ def run_benchmark(config: StreamConfig) -> BenchResult:
     )
 
 
-def untimed(record: ExperimentRecord) -> ExperimentRecord:
-    """The record with every timing zeroed, as deterministic mode writes it."""
-    return replace(
-        record, ms_analyze=0.0, ms_search=0.0, ms_search_unpruned=0.0, ms_oracle=0.0
-    )
-
-
-def format_density(value: float) -> str:
-    return f"{value:g}"
-
-
-def write_csv(result: BenchResult, stream: io.TextIOBase, deterministic: bool) -> None:
-    """Write the record table; errors become comment lines."""
-    if not deterministic:
-        stream.write(f"# generated {time.strftime('%Y-%m-%dT%H:%M:%S')}\n")
-    stream.write(",".join(CSV_COLUMNS) + "\n")
+def csv_text(result: BenchResult, deterministic: bool) -> str:
+    """The record table; errors become comment lines."""
+    stamp = time.strftime("%Y-%m-%dT%H:%M:%S")
+    lines = [] if deterministic else [f"# generated {stamp}"]
+    lines.append(",".join(CSV_COLUMNS))
     for r in result.records:
         if r.error:
-            stream.write(f"# record {r.index} failed: {r.error}\n")
+            lines.append(f"# record {r.index} failed: {r.error}")
             continue
-        fields = (
-            str(r.seed),
-            str(r.m),
-            str(r.n),
-            format_density(r.density),
-            str(r.mandatory_count),
-            str(r.heuristic_t0),
-            "" if r.exact_t0 is None else str(r.exact_t0),
-            str(r.minimal_test_count),
-            str(r.subsets_pruned),
-            str(r.subsets_total),
-            f"{r.ms_analyze:.3f}",
-            f"{r.ms_search:.3f}",
-            f"{r.ms_oracle:.3f}",
+        exact = "" if r.exact_t0 is None else r.exact_t0
+        lines.append(
+            f"{r.seed},{r.m},{r.n},{r.density:g},{r.mandatory_count},"
+            f"{r.heuristic_t0},{exact},{r.minimal_test_count},{r.subsets_pruned},"
+            f"{r.subsets_total},{r.ms_analyze:.3f},{r.ms_search:.3f},{r.ms_oracle:.3f}"
         )
-        stream.write(",".join(fields) + "\n")
-
-
-def csv_text(result: BenchResult, deterministic: bool) -> str:
-    buf = io.StringIO()
-    write_csv(result, buf, deterministic)
-    return buf.getvalue()
+    return "".join(line + "\n" for line in lines)
 
 
 def summarize(result: BenchResult) -> dict:

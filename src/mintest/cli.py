@@ -16,13 +16,12 @@ from dataclasses import asdict
 from itertools import product
 
 from .bench import (
-    BenchResult,
     StreamConfig,
     bench_matrix,
+    bench_result,
     csv_text,
     run_benchmark,
     summarize,
-    untimed,
 )
 from .fixtures import UnknownFixtureError, fixture_text, list_fixtures
 from .generate import GenerationError, GeneratorConfig, generate_matrix
@@ -464,13 +463,7 @@ def _cmd_bench(args) -> int:
 
         matrix = load_fixture_matrix(args.fixture)
         record = bench_matrix(matrix, oracle_ceiling=args.oracle_ceiling)
-        if args.deterministic:
-            record = untimed(record)
-        result = BenchResult(
-            records=(record,),
-            mismatches=1 if record.mismatch else 0,
-            failures=0,
-        )
+        result = bench_result([record], args.deterministic)
     else:
         for rows, cols, density in product(args.rows, args.cols, args.densities):
             _generator_config(rows, cols, density)

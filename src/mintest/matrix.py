@@ -17,6 +17,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
 ColumnSet = tuple[int, ...]
@@ -54,6 +55,39 @@ def flip_pairs(
             if partner is not None:
                 label = index[key]
                 yield (label, partner) if label < partner else (partner, label)
+
+
+def _paired_positions(
+    groups: Iterable[Sequence[int]], width: int
+) -> list[tuple[int, int]]:
+    """The pairs of bit positions (i < j, position 0 the highest of width
+    bits) whose bits are equal or complementary across the rows of every
+    group; the polarity may differ between groups.
+
+    Two positions relate so in a group iff each row differs from the
+    group's first row in both or in neither, so each row splits every
+    block of positions by that difference (Paige & Tarjan, 1987), and a
+    block of one position is dropped.  On random rows none is left after
+    a few rows.
+    """
+    blocks = [(1 << width) - 1] if width >= 2 else []
+    for group in groups:
+        for row in group:
+            diff = row ^ group[0]
+            split = []
+            for block in blocks:
+                ones = block & diff
+                for part in (ones, block ^ ones):
+                    if part & part - 1:  # two or more positions
+                        split.append(part)
+            blocks = split
+            if not blocks:
+                return []
+    pairs = []
+    for block in blocks:
+        positions = [p for p in range(width) if block >> (width - 1 - p) & 1]
+        pairs.extend(combinations(positions, 2))
+    return sorted(pairs)
 
 
 def normalize_columns(columns: Iterable[int], col_count: int) -> ColumnSet:
@@ -140,7 +174,6 @@ def parse_matrix(text: str) -> BooleanMatrix:
     columns are legal input and only trigger a DuplicateColumnWarning.
     """
     rows: list[int] = []
-    lines: list[str] = []
     seen_at: dict[int, int] = {}
     width: int | None = None
     first_line = 0
@@ -167,7 +200,6 @@ def parse_matrix(text: str) -> BooleanMatrix:
                 f"duplicate rows at lines {seen_at[value]} and {lineno}: {line}"
             )
         rows.append(value)
-        lines.append(line)
         seen_at[value] = lineno
     if width is None:
         raise MatrixFormatError("no matrix rows found")
@@ -176,7 +208,16 @@ def parse_matrix(text: str) -> BooleanMatrix:
         rows=tuple(rows),
         row_labels=tuple(range(1, len(rows) + 1)),
     )
-    _warn_duplicate_columns(lines)
+    # Against an all-zero first row, paired columns are equal columns.
+    first: dict[int, int] = {}
+    for i, j in _paired_positions([(0, *rows)], width):
+        first.setdefault(j, i)
+    for j in sorted(first):
+        warnings.warn(
+            f"columns {first[j] + 1} and {j + 1} are identical",
+            DuplicateColumnWarning,
+            stacklevel=2,
+        )
     return matrix
 
 
@@ -184,20 +225,6 @@ def load_matrix(path) -> BooleanMatrix:
     """Read a matrix file (UTF-8) in the parse_matrix format."""
     with open(path, encoding="utf-8") as fh:
         return parse_matrix(fh.read())
-
-
-def _warn_duplicate_columns(lines: Sequence[str]) -> None:
-    """Warn once per column equal to an earlier one, keyed in one pass."""
-    seen: dict[tuple[str, ...], int] = {}
-    for c, v in enumerate(zip(*lines), start=1):
-        if v in seen:
-            warnings.warn(
-                f"columns {seen[v]} and {c} are identical",
-                DuplicateColumnWarning,
-                stacklevel=3,
-            )
-        else:
-            seen[v] = c
 
 
 def row_popcounts(matrix: BooleanMatrix) -> dict[int, int]:

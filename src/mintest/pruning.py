@@ -35,8 +35,8 @@ Three independent facts shrink the search, all phrased over a ClassSet:
   exactly the same row pairs, so one of them is redundant in any test that
   contains both: no dead-end (and so no minimal) test uses both.  One
   partition refinement finds them, over the whole matrix or per class
-  (_paired_positions): each row splits every block of columns by where
-  it differs from the first row of its group.
+  (matrix._paired_positions): each row splits every block of columns by
+  where it differs from the first row of its group.
 
 The cycle-cost helper compares the work of refuting all (t-1)-subsets
 directly against scanning (t-2)-subsets for multiplicity seeds first.
@@ -49,7 +49,7 @@ from itertools import combinations
 from math import comb, inf
 from typing import Iterable, Iterator, Sequence
 
-from .matrix import BooleanMatrix, ColumnSet, RowPair
+from .matrix import BooleanMatrix, ColumnSet, RowPair, _paired_positions
 from .mandatory import ClassSet
 
 
@@ -255,39 +255,6 @@ def residual_pairs_lower_bound(p: int) -> int:
     if p < 2:
         raise ValueError("need at least two identical rows")
     return p * (p - 1) // 2 - (p * p) // 4
-
-
-def _paired_positions(
-    groups: Iterable[Sequence[int]], width: int
-) -> list[tuple[int, int]]:
-    """The pairs of bit positions (i < j, position 0 the highest of width
-    bits) whose bits are equal or complementary across the rows of every
-    group; the polarity may differ between groups.
-
-    Two positions relate so in a group iff each row differs from the
-    group's first row in both or in neither, so each row splits every
-    block of positions by that difference (Paige & Tarjan, 1987), and a
-    block of one position is dropped.  On random rows none is left after
-    a few rows.
-    """
-    blocks = [(1 << width) - 1] if width >= 2 else []
-    for group in groups:
-        for row in group:
-            diff = row ^ group[0]
-            split = []
-            for block in blocks:
-                ones = block & diff
-                for part in (ones, block ^ ones):
-                    if part & part - 1:  # two or more positions
-                        split.append(part)
-            blocks = split
-            if not blocks:
-                return []
-    pairs = []
-    for block in blocks:
-        positions = [p for p in range(width) if block >> (width - 1 - p) & 1]
-        pairs.extend(combinations(positions, 2))
-    return sorted(pairs)
 
 
 def bijective_column_pairs(

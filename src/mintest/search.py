@@ -86,12 +86,13 @@ from .matrix import (
     BooleanMatrix,
     ColumnSet,
     RowPair,
+    _paired_positions,
     flip_pairs,
     is_test,
     normalize_columns,
 )
 from .oracle import OracleCeilingError, oracle_minimal_tests
-from .pruning import CycleCost, _paired_positions, cycle_costs, seed_masks
+from .pruning import CycleCost, cycle_costs, seed_masks
 
 
 class SearchCeilingError(RuntimeError):
@@ -320,8 +321,10 @@ def _local_verdict(class_set: ClassSet, columns: ColumnSet) -> DeadendCheck:
 
 # Above this many row triples in a class set, the seed test reads its
 # masks off the multiplicity seeds of each scanned size instead of the
-# class set's triple masks (one 500-row class has 2*10^7 triples).
-_TRIPLE_MASK_CAP = 100_000
+# class set's triple masks.  One class of 230 rows passes it; below that
+# the triple masks are the faster seed source on both kernels, and one
+# 500-row class (2*10^7 triples) still falls back.
+_TRIPLE_MASK_CAP = 2_000_000
 
 # A class set of at most this many view columns is scanned on its subset
 # lattice, one int of 2^width bits per set family (128 KB at the cap).

@@ -1,6 +1,8 @@
+import hashlib
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -144,3 +146,56 @@ def test_import_loads_no_process_pool():
         env={**os.environ, "PYTHONPATH": str(src)},
     ).stdout
     assert out == "[]\n"
+
+
+def test_bench_matrix_runs_the_analysis_once(monkeypatch, q25):
+    """One record: one analysis, then the two class-set searches, with no
+    whole-matrix solve, certification or column statistics."""
+    from mintest import bench, heuristic, mandatory, search
+
+    calls = Counter()
+
+    def counted(name, function):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+
+        return wrapper
+
+    names = (
+        "find_mandatory",
+        "partition_by_mandatory",
+        "class_views",
+        "enumerate_local_minimal_tests",
+        "enumerate_minimal_tests",
+        "is_deadend",
+        "column_pair_stats",
+    )
+    for module in (mandatory, heuristic, search, bench):
+        for name in names:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    record = bench_matrix(q25)
+    assert not record.mismatch
+    assert calls == {
+        "find_mandatory": 1,
+        "partition_by_mandatory": 1,
+        "class_views": 1,
+        "enumerate_local_minimal_tests": 2,
+    }
+
+
+def test_deterministic_output_is_pinned(capsys):
+    """The deterministic bench output, byte for byte, for a stream and for
+    a fixture replay."""
+    from mintest.cli import main
+
+    config = StreamConfig(count=40, seed=3, deterministic=True)
+    text = csv_text(run_benchmark(config), deterministic=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "b67615bca3545ead2d101d77a6292f5fd97917e84cdc39995e82899469059f99"
+    )
+    assert main(["bench", "--fixture", "q25x10", "--deterministic"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
+        "8c5baf76bb5a9c521bed9bdafbfef35a1600e7d5795f3530b348621efaaa5677"
+    )

@@ -1,3 +1,5 @@
+import warnings
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -26,6 +28,24 @@ def matrix_from_ints(values, n):
         rows=tuple(values),
         row_labels=tuple(range(1, len(values) + 1)),
     )
+
+
+@st.composite
+def planted_matrix_lines(draw):
+    """Row strings of 1-8 distinct rows over 1-8 columns, where some
+    columns are copies or complements of an earlier one."""
+    width = draw(st.integers(1, 8))
+    values = draw(
+        st.lists(st.integers(0, (1 << width) - 1), min_size=1, max_size=8, unique=True)
+    )
+    columns = [[v >> (width - 1 - c) & 1 for v in values] for c in range(width)]
+    for j in range(1, width):
+        plant = draw(st.sampled_from((None, 0, 1)))
+        if plant is not None:
+            source = columns[draw(st.integers(0, j - 1))]
+            columns[j] = [x ^ plant for x in source]
+    lines = ["".join(str(col[r]) for col in columns) for r in range(len(values))]
+    return list(dict.fromkeys(lines))
 
 
 class TestParsing:
@@ -69,6 +89,23 @@ class TestParsing:
             "columns 1 and 5 are identical",
         ]
         assert all(w.filename == __file__ for w in record)
+
+    @settings(max_examples=300, deadline=None)
+    @given(planted_matrix_lines())
+    def test_duplicate_column_warnings_match_the_definition(self, lines):
+        """One warning per column equal, as a tuple of row characters, to
+        an earlier one, naming the first such column."""
+        want, first = [], {}
+        for c, column in enumerate(zip(*lines), start=1):
+            if column in first:
+                want.append(f"columns {first[column]} and {c} are identical")
+            else:
+                first[column] = c
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            parse_matrix("\n".join(lines))
+        assert [str(w.message) for w in record] == want
+        assert all(w.category is DuplicateColumnWarning for w in record)
 
     def test_fixture_loads(self, q25):
         assert (q25.row_count, q25.col_count) == (25, 10)

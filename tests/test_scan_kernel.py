@@ -204,9 +204,9 @@ def test_single_row_classes_make_every_set_a_test(monkeypatch):
         assert_scans_agree(cs)
 
 
-@pytest.mark.parametrize("rows,fallback", [(85, False), (86, True)])
+@pytest.mark.parametrize("rows,fallback", [(229, False), (230, True)])
 def test_seed_source_switches_at_the_triple_cap(monkeypatch, rows, fallback):
-    # C(85,3) = 98,770 and C(86,3) = 102,340 row triples
+    # C(229,3) = 1,975,354 and C(230,3) = 2,001,460 row triples
     calls = []
     monkeypatch.setattr(
         search, "seed_masks", lambda cs, k: calls.append(k) or seed_masks(cs, k)
