@@ -31,9 +31,10 @@ from .mandatory import (
     candidate_pair_count,
     class_views,
     find_mandatory,
+    parse_class_set,
     partition_by_mandatory,
 )
-from .matrix import BooleanMatrix, MatrixFormatError, is_test
+from .matrix import BooleanMatrix, MatrixFormatError, is_test, parse_matrix
 from .oracle import OracleCeilingError, oracle_deadend_tests, oracle_minimal_tests
 from .pruning import bijective_column_pairs, multiplicity_seeds
 from .search import (
@@ -60,12 +61,8 @@ def _read_input(source: str) -> str:
         raise MatrixFormatError(f"cannot read input {source!r}: {exc}") from exc
 
 
-def _load_any(source: str) -> BooleanMatrix | ClassSet:
-    """Load a matrix or a class-set file, deciding by the header line."""
-    from .mandatory import parse_class_set
-    from .matrix import parse_matrix
-
-    text = _read_input(source)
+def _parse_any(text: str) -> BooleanMatrix | ClassSet:
+    """Parse a matrix or a class-set file, deciding by the header line."""
     for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -148,7 +145,7 @@ def _seed_lines(cs: ClassSet, k: int) -> list[str]:
 
 def _cmd_analyze(args) -> int:
     _at_least("--seed-size", args.seed_size)
-    data = _load_any(args.input)
+    data = _parse_any(_read_input(args.input))
     if isinstance(data, ClassSet):
         return _analyze_class_set(args, data)
     matrix = _two_rows(data)
@@ -308,7 +305,7 @@ def _write_tests_csv(path: str, tests) -> None:
 
 
 def _cmd_enumerate(args) -> int:
-    data = _load_any(args.input)
+    data = _parse_any(_read_input(args.input))
     config = _search_config(args)
     if isinstance(data, ClassSet):
         report = enumerate_local_minimal_tests(data, config)
@@ -374,7 +371,7 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_verify(args) -> int:
     _at_least("--ceiling", args.ceiling)
-    data = _load_any(args.input)
+    data = _parse_any(_read_input(args.input))
     if isinstance(data, ClassSet):
         raise MatrixFormatError("verify needs a full matrix input")
     try:
@@ -406,7 +403,7 @@ def _cmd_verify(args) -> int:
 def _cmd_oracle(args) -> int:
     _at_least("--ceiling", args.ceiling)
     _at_least("--ceiling-deadend", args.ceiling_deadend)
-    data = _load_any(args.input)
+    data = _parse_any(_read_input(args.input))
     if isinstance(data, ClassSet):
         raise MatrixFormatError("the oracle needs a full matrix input")
     if args.deadend:
@@ -459,10 +456,18 @@ def _cmd_bench(args) -> int:
     _at_least("--oracle-ceiling", args.oracle_ceiling)
     _at_least("--workers", args.workers, 1)
     if args.fixture:
-        from .fixtures import load_fixture_matrix
-
-        matrix = load_fixture_matrix(args.fixture)
-        record = bench_matrix(matrix, oracle_ceiling=args.oracle_ceiling)
+        data = _parse_any(fixture_text(args.fixture))
+        if isinstance(data, ClassSet):
+            matrices = [
+                name
+                for name in list_fixtures()
+                if not isinstance(_parse_any(fixture_text(name)), ClassSet)
+            ]
+            raise MatrixFormatError(
+                f"bench replays matrix fixtures only ({', '.join(matrices)}); "
+                f"{args.fixture} is a class-set fixture"
+            )
+        record = bench_matrix(data, oracle_ceiling=args.oracle_ceiling)
         result = bench_result([record], args.deterministic)
     else:
         for rows, cols, density in product(args.rows, args.cols, args.densities):
@@ -572,7 +577,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--deterministic", action="store_true")
     p.add_argument("--oracle-ceiling", type=int, default=22)
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--fixture", help="replay a bundled matrix as a 1-record stream")
+    p.add_argument("--fixture", help="replay a bundled matrix fixture as a 1-record stream")
     p.add_argument("--output", help="write the CSV to this file")
     p.add_argument("--json", action="store_true", help="summary JSON on stderr")
     p.set_defaults(func=_cmd_bench)

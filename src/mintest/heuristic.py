@@ -56,10 +56,11 @@ class HeuristicEstimate:
 def _stats(columns: Sequence[int], rows: Sequence[int], width: int) -> ColumnPairStats:
     m = len(rows)
     mhat = pair_count(m)
-    ones = []
-    for pos in range(width):
-        shift = width - 1 - pos
-        ones.append(sum((r >> shift) & 1 for r in rows))
+    # bin of a row with a bit set above its width, less "0b1", is its
+    # width digits; joined, position pos holds every width-th digit.
+    top = 1 << width
+    digits = "".join([bin(r | top)[3:] for r in rows])
+    ones = [digits[pos::width].count("1") for pos in range(width)]
     zeros = [m - o for o in ones]
     dist = [o * z for o, z in zip(ones, zeros)]
     # Tuples from lists, for the reason given in ClassSet.positions.

@@ -10,8 +10,9 @@ inside each multi-row class using the non-mandatory columns.
 The distance-1 scan is a bit-flip probe: with every row keyed by its
 packed value, a row r with column c clear has a distance-1 partner in c
 exactly when r with c set is also a row, so one dict lookup per row per
-column finds every witness pair in O(m*n).  Two rows at distance 1 differ
-in popcount by exactly 1; the pairs of adjacent popcount buckets are kept
+column finds every witness pair in O(m*n); find_mandatory and is_deadend
+each run it as a loop of their own.  Two rows at distance 1 differ in
+popcount by exactly 1; the pairs of adjacent popcount buckets are kept
 only as the statistic `mintest analyze` prints (candidate_pair_count).
 """
 
@@ -21,17 +22,18 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import comb
-from typing import Iterable, Iterator
+from typing import Iterable, TypeVar
 
 from .matrix import (
     BooleanMatrix,
     ColumnSet,
     MatrixFormatError,
     RowPair,
-    flip_pairs,
     normalize_columns,
     pair_count,
 )
+
+_Marks = TypeVar("_Marks", dict[int, int], bytearray)
 
 
 @dataclass(frozen=True)
@@ -127,12 +129,15 @@ class ClassSet:
         width = len(self.columns)
         return {c: 1 << (width - 1 - pos) for pos, c in enumerate(self.columns)}
 
-    def _pair_differences(self) -> Iterator[int]:
-        """The row differences a ^ b inside the classes, repeats included."""
+    def _mark_differences(self, out: _Marks) -> _Marks:
+        """Set out[a ^ b] = 1 for each row pair a, b inside a class, in a
+        digit array of the subset lattice or a dict of mask candidates."""
         for view in self.classes:
             rows = view.rows
-            for i, row in enumerate(rows):
-                yield from map(row.__xor__, rows[i + 1 :])
+            for i, row in enumerate(rows, 1):
+                for other in rows[i:]:
+                    out[row ^ other] = 1
+        return out
 
     @cached_property
     def difference_masks(self) -> tuple[int, ...]:
@@ -144,10 +149,10 @@ class ClassSet:
         every mask here.  Masks are ordered fewest bits first, ties by
         value.  They are nonzero unless two rows of a class project
         identically onto the view (then the only mask is 0 and nothing is
-        a test).  The build takes O(sum of C(p,2)) XORs over classes of p
-        rows, then the filter of _minimal_masks.
+        a test).  The build marks O(sum of C(p,2)) XORs over classes of p
+        rows as dict keys, then runs the filter of _minimal_masks on them.
         """
-        return _minimal_masks(set(self._pair_differences()), len(self.columns))
+        return _minimal_masks(self._mark_differences({}), len(self.columns))
 
     @cached_property
     def difference_positions(self) -> tuple[tuple[int, ...], ...]:
@@ -160,15 +165,17 @@ class ClassSet:
         p rows, the size of the triple_masks build."""
         return sum(comb(view.size, 3) for view in self.classes)
 
-    def _triple_unions(self) -> Iterator[int]:
-        """The unions (a ^ b) | (a ^ c) over the row triples inside the
-        classes, repeats included."""
+    def _mark_triple_unions(self, out: _Marks) -> _Marks:
+        """Set out[(a ^ b) | (a ^ c)] = 1 for each row triple a, b, c of a
+        class in row order, as _mark_differences; the last two start none."""
         for view in self.classes:
             rows = view.rows
-            for i, row in enumerate(rows):
-                diffs = [row ^ other for other in rows[i + 1 :]]
-                for j, diff in enumerate(diffs):
-                    yield from map(diff.__or__, diffs[j + 1 :])
+            for i, row in enumerate(rows[:-2], 1):
+                diffs = [row ^ other for other in rows[i:]]
+                for j, diff in enumerate(diffs[:-1], 1):
+                    for other in diffs[j:]:
+                        out[diff | other] = 1
+        return out
 
     @cached_property
     def triple_masks(self) -> tuple[int, ...]:
@@ -180,9 +187,9 @@ class ClassSet:
         three rows of a class onto one value (a multiplicity seed) iff it
         meets some mask here at most once; a smaller mask is met no more
         often, so the minimal ones decide.  Empty when no class has three
-        rows.  The build takes triple_count ORs.
+        rows.  The build marks triple_count ORs as dict keys.
         """
-        return _minimal_masks(set(self._triple_unions()), len(self.columns))
+        return _minimal_masks(self._mark_triple_unions({}), len(self.columns))
 
     @cached_property
     def triple_positions(self) -> tuple[tuple[int, ...], ...]:
@@ -194,11 +201,13 @@ class ClassSet:
         """The column subsets that are not local tests, on the subset
         lattice of the view (see _lattice): bit x is set iff the subset
         with view mask x misses some within-class difference, that is
-        lies inside its complement.  One bit per complemented difference,
-        then the downward closure; no minimal-mask filter.
+        lies inside its complement.  Each difference marks its byte of a
+        digit array of 2^w bytes, read as the bit of its complement; then
+        the downward closure, with no minimal-mask filter.
         """
         width = len(self.columns)
-        return _down_closure(_complement_bits(self._pair_differences(), width), width)
+        digits = self._mark_differences(bytearray(1 << width))
+        return _down_closure(_complemented(digits), width)
 
     @cached_property
     def non_test_bytes(self) -> bytes:
@@ -213,11 +222,11 @@ class ClassSet:
         smaller, on the subset lattice of the view: the seeds are the
         downward closure of the complemented triple unions (three rows
         agree on a set iff it misses their union), and one up-step adds a
-        column to each.  The build takes triple_count ORs.
+        column to each.  The unions mark a digit array as in non_tests.
         """
         width = len(self.columns)
-        seeds = _down_closure(_complement_bits(self._triple_unions(), width), width)
-        return _up_step(seeds, width)
+        digits = self._mark_triple_unions(bytearray(1 << width))
+        return _up_step(_down_closure(_complemented(digits), width), width)
 
     def positions(self, mask: int) -> tuple[int, ...]:
         """The view positions (0 for the first view column) of a mask, in
@@ -345,13 +354,9 @@ def _lattice(width: int) -> _Lattice:
 _DIGITS = bytes.maketrans(b"\0\1", b"01")
 
 
-def _complement_bits(masks: Iterable[int], width: int) -> int:
-    """One bit per mask of width bits, at its complement, on the subset
-    lattice: digit x of a binary numeral of 2^width digits is the bit of
-    the complement of x."""
-    digits = bytearray(1 << width)
-    for mask in masks:
-        digits[mask] = 1
+def _complemented(digits: bytearray) -> int:
+    """The lattice int of a digit array (digits[x] = 1 marks mask x): digit
+    x of a binary numeral of 2^width digits is the bit of x's complement."""
     return int(digits.translate(_DIGITS), 2)
 
 
@@ -414,9 +419,15 @@ def find_mandatory(matrix: BooleanMatrix) -> MandatoryResult:
     n = matrix.col_count
     witnesses: dict[int, tuple[RowPair, ...]] = {}
     for column in range(1, n + 1):
-        pairs = sorted(flip_pairs(index, 1 << (n - column)))
+        bit = 1 << (n - column)
+        pairs = []
+        for key, label in index.items():
+            if not key & bit:
+                partner = index.get(key | bit)
+                if partner is not None:
+                    pairs.append((label, partner) if label < partner else (partner, label))
         if pairs:
-            witnesses[column] = tuple(pairs)
+            witnesses[column] = tuple(sorted(pairs))
     return MandatoryResult(columns=tuple(witnesses), witnesses=witnesses)
 
 

@@ -18,7 +18,7 @@ import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 ColumnSet = tuple[int, ...]
 RowPair = tuple[int, int]
@@ -35,26 +35,6 @@ class DuplicateColumnWarning(UserWarning):
 def pair_count(m: int) -> int:
     """Number of unordered row pairs, m*(m-1)/2."""
     return m * (m - 1) // 2
-
-
-def flip_pairs(
-    index: dict[int, int], bit: int, keys: Iterable[int] | None = None
-) -> Iterator[RowPair]:
-    """Label pairs whose keys differ in `bit` alone, in the order of keys.
-
-    Map each row's projection onto a column set T to its label: two rows
-    are separated within T by the column of `bit` alone exactly when one
-    key is the other with that bit flipped.  Each pair is probed once,
-    from its key with `bit` clear (one dict lookup per key), and yielded
-    as (smaller label, larger label).  keys defaults to the index itself;
-    pass them sorted to get the pair with the smallest key first.
-    """
-    for key in index if keys is None else keys:
-        if not key & bit:
-            partner = index.get(key | bit)
-            if partner is not None:
-                label = index[key]
-                yield (label, partner) if label < partner else (partner, label)
 
 
 def _paired_positions(
@@ -116,9 +96,8 @@ class BooleanMatrix:
             raise ValueError("row_labels must be a permutation of 1..m")
         if len(set(self.rows)) != len(self.rows):
             raise ValueError("rows must be pairwise distinct")
-        for r in self.rows:
-            if not 0 <= r < (1 << self.col_count):
-                raise ValueError("row value out of range for col_count")
+        if self.rows and not 0 <= min(self.rows) <= max(self.rows) < 1 << self.col_count:
+            raise ValueError("row value out of range for col_count")
 
     @classmethod
     def from_strings(cls, lines: Sequence[str]) -> "BooleanMatrix":

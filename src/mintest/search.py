@@ -75,7 +75,7 @@ from .heuristic import (
 from .mandatory import (
     ClassSet,
     Partition,
-    _complement_bits,
+    _complemented,
     _lattice,
     _up_step,
     class_views,
@@ -87,7 +87,6 @@ from .matrix import (
     ColumnSet,
     RowPair,
     _paired_positions,
-    flip_pairs,
     is_test,
     normalize_columns,
 )
@@ -207,8 +206,8 @@ def is_deadend(matrix: BooleanMatrix, columns: Iterable[int]) -> DeadendCheck:
     takes one dict lookup per row to find.  A column with no such pair is
     redundant and the set minus that column is still a test; the
     highest-indexed redundant column is reported.  Witness choice is
-    deterministic: the keys are sorted once, so the first pair flip_pairs
-    yields is the one with the smallest projection value.
+    deterministic: the keys are sorted once, so the first pair the probe
+    loop finds is the one with the smallest projection value.
     """
     cols = normalize_columns(columns, matrix.col_count)
     n = matrix.col_count
@@ -219,11 +218,17 @@ def is_deadend(matrix: BooleanMatrix, columns: Iterable[int]) -> DeadendCheck:
     keys = sorted(index)
     witnesses: list[tuple[int, RowPair]] = []
     redundant: int | None = None
-    for c in cols:
-        pair = next(flip_pairs(index, 1 << (n - c), keys), None)
-        if pair is not None:
-            witnesses.append((c, pair))
-        elif redundant is None or c > redundant:
+    for c in cols:  # ascending, so the last redundant one is the highest
+        bit = 1 << (n - c)
+        for key in keys:
+            if not key & bit:
+                partner = index.get(key | bit)
+                if partner is not None:
+                    label = index[key]
+                    pair = (label, partner) if label < partner else (partner, label)
+                    witnesses.append((c, pair))
+                    break
+        else:
             redundant = c
     return DeadendCheck(ok=redundant is None, witnesses=tuple(witnesses), redundant=redundant)
 
@@ -305,14 +310,11 @@ def _local_verdict(class_set: ClassSet, columns: ColumnSet) -> DeadendCheck:
     bit_of = class_set.bit_of
     if len(class_set.columns) <= _LATTICE_WIDTH:
         non_tests = class_set.non_test_bytes
-        redundant = max(
-            (
-                c
-                for c in columns
-                if not non_tests[(x := mask ^ bit_of[c]) >> 3] >> (x & 7) & 1
-            ),
-            default=None,
-        )
+        redundant = None
+        for c in columns:
+            x = mask ^ bit_of[c]
+            if not non_tests[x >> 3] >> (x & 7) & 1:
+                redundant = c if redundant is None else max(redundant, c)
     else:
         private = set(map(mask.__and__, class_set.difference_masks))
         redundant = max((c for c in columns if bit_of[c] not in private), default=None)
@@ -476,8 +478,10 @@ def _lattice_scan(
             clean &= ~class_set.seed_up
         else:
             full = (1 << width) - 1  # complemented twice: a bit per seed
-            seeded = map(full.__xor__, seed_masks(class_set, size - 1))
-            clean &= ~_up_step(_complement_bits(seeded, width), width)
+            digits = bytearray(1 << width)
+            for seed in seed_masks(class_set, size - 1):
+                digits[full ^ seed] = 1
+            clean &= ~_up_step(_complemented(digits), width)
     tests = clean & ~class_set.non_tests
     scan = _Scan([])
     cut = every

@@ -367,6 +367,15 @@ class TestGenAndBench:
         assert code == 1
         assert "unknown fixture 'no_such_fixture'" in err
 
+    def test_bench_class_set_fixture_exit_1(self, capsys):
+        code, out, err = run(capsys, "bench", "--fixture", "m8_local")
+        assert code == 1
+        assert out == ""
+        assert (
+            "error: bench replays matrix fixtures only (q25x10); "
+            "m8_local is a class-set fixture"
+        ) in err
+
     def test_internal_key_error_is_not_an_input_error(self, monkeypatch):
         import mintest.cli as cli
 

@@ -1,8 +1,9 @@
 """The bit-flip probe against plain reference algorithms.
 
-find_mandatory and is_deadend read distance-1 pairs off one hash probe
-(flip_pairs).  These tests pin their output, order included, to
-straightforward all-pairs and group-and-sort references written out here.
+find_mandatory and is_deadend each read distance-1 pairs off a hash
+probe, a loop of their own.  These tests pin their output, order
+included, to straightforward all-pairs and group-and-sort references
+written out here.
 The search's local dead-end verdict is pinned to a group-by reference too,
 in both its forms: on the subset lattice and on the minimal differences.
 """
@@ -32,7 +33,6 @@ from mintest import (
     sort_rows_by_binary_value,
 )
 import mintest.search as search
-from mintest.matrix import flip_pairs
 from mintest.search import _local_verdict
 
 
@@ -160,27 +160,6 @@ def all_local_tests(class_set):
         for cols in combinations(class_set.columns, k):
             if is_local_test(class_set, cols):
                 yield cols
-
-
-class TestFlipPairs:
-    def test_each_pair_once_in_key_order(self):
-        index = {0b110: 4, 0b011: 3, 0b001: 2, 0b000: 1, 0b111: 5}
-        assert list(flip_pairs(index, 0b001)) == [(4, 5), (1, 2)]
-        assert list(flip_pairs(index, 0b001, sorted(index))) == [(1, 2), (4, 5)]
-        assert list(flip_pairs(index, 0b010)) == [(2, 3)]
-        assert list(flip_pairs(index, 0b100)) == [(3, 5)]
-
-    @settings(max_examples=80, deadline=None)
-    @given(st.sets(st.integers(0, 63), max_size=20), st.integers(0, 5))
-    def test_equals_all_pairs_at_distance_one_in_bit(self, keys, b):
-        bit = 1 << b
-        index = {k: 100 - k for k in keys}
-        expected = [
-            (min(index[k], index[k | bit]), max(index[k], index[k | bit]))
-            for k in sorted(keys)
-            if not k & bit and k | bit in keys
-        ]
-        assert list(flip_pairs(index, bit, sorted(keys))) == expected
 
 
 class TestFindMandatoryReference:

@@ -5,6 +5,8 @@ from conftest import Q25_UNDISTINGUISHED, random_matrix
 
 from mintest import (
     BooleanMatrix,
+    ClassSet,
+    ClassView,
     class_views,
     column_pair_stats,
     estimate_length,
@@ -47,27 +49,48 @@ class TestColumnPairStats:
         with pytest.raises(ValueError):
             column_pair_stats(m)
 
-    @settings(max_examples=50, deadline=None)
-    @given(
-        st.integers(2, 12),
-        st.data(),
-    )
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 70), st.data())
     def test_analytic_equals_brute_force(self, n, data):
+        # The first `zeros` columns are all zero, so every row needs
+        # padding to its width; rows number 2 and up.
+        zeros = data.draw(st.integers(0, n - 1))
+        count = data.draw(st.integers(2, min(20, 1 << (n - zeros))))
         values = data.draw(
-            st.lists(st.integers(0, (1 << n) - 1), min_size=2, max_size=20, unique=True)
+            st.lists(
+                st.integers(0, (1 << (n - zeros)) - 1),
+                min_size=count,
+                max_size=count,
+                unique=True,
+            )
         )
         m = BooleanMatrix(
             col_count=n, rows=tuple(values), row_labels=tuple(range(1, len(values) + 1))
         )
-        stats = column_pair_stats(m)
-        for idx, col in enumerate(stats.columns):
-            brute = sum(
+        brute = [
+            sum(
                 1
                 for i, a in enumerate(m.row_labels)
                 for b in m.row_labels[i + 1 :]
                 if m.cell(a, col) == m.cell(b, col)
             )
-            assert stats.undistinguished[idx] == brute
+            for col in range(1, n + 1)
+        ]
+        assert column_pair_stats(m).undistinguished == tuple(brute)
+        # The same rows as the union of two classes of a class set.
+        split = data.draw(st.integers(1, count - 1))
+        halves = (tuple(values[:split]), tuple(values[split:]))
+        cs = ClassSet(
+            columns=tuple(range(1, n + 1)),
+            classes=tuple(
+                ClassView(name=f"M{i}", key=(), row_labels=(), rows=rows)
+                for i, rows in enumerate(halves, 1)
+            ),
+        )
+        union = union_pair_stats(cs)
+        assert union.undistinguished == tuple(brute)
+        ones = tuple(sum(v >> (n - c) & 1 for v in values) for c in union.columns)
+        assert union.ones == ones
 
 
 class TestEstimateLength:

@@ -107,6 +107,15 @@ class TestParsing:
         assert [str(w.message) for w in record] == want
         assert all(w.category is DuplicateColumnWarning for w in record)
 
+    @pytest.mark.parametrize("rows", [(0b11, 0b100), (-1, 0b01), (0b1000, -2)])
+    def test_row_out_of_range_rejected(self, rows):
+        with pytest.raises(ValueError, match="^row value out of range for col_count$"):
+            BooleanMatrix(col_count=2, rows=rows, row_labels=(1, 2))
+
+    def test_rows_at_the_range_ends_and_no_rows_accepted(self):
+        assert BooleanMatrix(col_count=2, rows=(0b11, 0), row_labels=(1, 2)).rows
+        assert BooleanMatrix(col_count=2, rows=(), row_labels=()).row_count == 0
+
     def test_fixture_loads(self, q25):
         assert (q25.row_count, q25.col_count) == (25, 10)
         assert q25.row_labels == tuple(range(1, 26))
