@@ -7,13 +7,14 @@ mandatory columns form a *class*; any pair of rows from different classes
 is already separated, so the remaining search only has to distinguish rows
 inside each multi-row class using the non-mandatory columns.
 
-The distance-1 scan is a bit-flip probe: with every row keyed by its
-packed value, a row r with column c clear has a distance-1 partner in c
-exactly when r with c set is also a row, so one dict lookup per row per
-column finds every witness pair in O(m*n); find_mandatory and is_deadend
-each run it as a loop of their own.  Two rows at distance 1 differ in
-popcount by exactly 1; the pairs of adjacent popcount buckets are kept
-only as the statistic `mintest analyze` prints (candidate_pair_count).
+A row r with column c clear has a distance-1 partner in c exactly when r
+with c set is also a row.  find_mandatory reads these pairs off one
+bitset of the row values, a shift and an AND per column, when the bitset
+takes at most 128 bytes per row; otherwise, and always in is_deadend, a
+bit-flip probe finds them with one dict lookup per row per column, in
+O(m*n).  Two rows at distance 1 differ in popcount by exactly 1; the
+pairs of adjacent popcount buckets are kept only as the statistic
+`mintest analyze` prints (candidate_pair_count).
 """
 
 from __future__ import annotations
@@ -408,24 +409,44 @@ def candidate_pair_count(matrix: BooleanMatrix) -> int:
 
 
 def find_mandatory(matrix: BooleanMatrix) -> MandatoryResult:
-    """Complete mandatory-column scan by the bit-flip probe.
+    """Complete mandatory-column scan.
 
     A column is mandatory iff some pair of rows is distinguished by it
     alone, i.e. one row is the other with that column's bit flipped.
-    Each pair is probed once, from its row with the bit clear; witness
-    pairs are (smaller label, larger label), sorted per column.
+    When a bitset over all 2^n row values takes at most 128 bytes per row
+    (1 << n <= 1024 * m), the rows are one such int P, and the pairs of
+    the column with bit b are the set bits x of P & P >> b with x & b
+    clear, read highest first: a shift and an AND per column, in C.
+    Otherwise each pair is probed once, from its row with the bit clear,
+    by one dict lookup per row per column.  Witness pairs are (smaller
+    label, larger label), sorted per column.
     """
-    index = dict(zip(matrix.rows, matrix.row_labels))
-    n = matrix.col_count
+    rows, n = matrix.rows, matrix.col_count
+    index = dict(zip(rows, matrix.row_labels))
     witnesses: dict[int, tuple[RowPair, ...]] = {}
+    present = 0  # the bitset of the row values, 0 above the bound
+    if 1 << n <= 1024 * len(rows):
+        flags = bytearray((1 << n) + 7 >> 3)
+        for row in rows:
+            flags[row >> 3] |= 1 << (row & 7)
+        present = int.from_bytes(flags, "little")
     for column in range(1, n + 1):
         bit = 1 << (n - column)
         pairs = []
-        for key, label in index.items():
-            if not key & bit:
-                partner = index.get(key | bit)
-                if partner is not None:
+        if present:
+            both = present & present >> bit
+            while both:
+                key = both.bit_length() - 1
+                both ^= 1 << key
+                if not key & bit:
+                    label, partner = index[key], index[key | bit]
                     pairs.append((label, partner) if label < partner else (partner, label))
+        else:
+            for key, label in index.items():
+                if not key & bit:
+                    partner = index.get(key | bit)
+                    if partner is not None:
+                        pairs.append((label, partner) if label < partner else (partner, label))
         if pairs:
             witnesses[column] = tuple(sorted(pairs))
     return MandatoryResult(columns=tuple(witnesses), witnesses=witnesses)
@@ -478,26 +499,32 @@ def class_views(
     """Project the partition's multi-row classes onto the free columns.
 
     By default the view columns are all non-mandatory columns of the
-    matrix, in ascending order.
+    matrix, in ascending order.  View columns adjacent in the matrix form
+    a run whose bits keep one distance to their view positions, so each
+    row packs with one mask and shift per run.
     """
     if columns is None:
+        # from a list, for the reason given in ClassSet.positions
         cols = tuple(
-            c
-            for c in range(1, matrix.col_count + 1)
-            if c not in partition.mandatory
+            [c for c in range(1, matrix.col_count + 1) if c not in partition.mandatory]
         )
     else:
         cols = normalize_columns(columns, matrix.col_count)
-    n = matrix.col_count
-    shifts = [n - c for c in cols]
+    n, width = matrix.col_count, len(cols)
+    drops: dict[int, int] = {}  # right shift of a run -> its row mask
+    for pos, c in enumerate(cols):
+        drop = (n - c) - (width - 1 - pos)
+        drops[drop] = drops.get(drop, 0) | 1 << (n - c)
+    runs = list(drops.items())
+    row_of = dict(zip(matrix.row_labels, matrix.rows))
     views = []
     for cls in partition.classes:
         packed = []
         for lab in cls.members:
-            bits = matrix.bits(lab)
+            row = row_of[lab]
             v = 0
-            for s in shifts:
-                v = (v << 1) | ((bits >> s) & 1)
+            for drop, mask in runs:
+                v |= (row & mask) >> drop
             packed.append(v)
         views.append(
             ClassView(

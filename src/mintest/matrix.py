@@ -17,7 +17,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, repeat
 from typing import Iterable, Sequence
 
 ColumnSet = tuple[int, ...]
@@ -144,6 +144,9 @@ class BooleanMatrix:
         return mask
 
 
+_NOT_BINARY = str.maketrans("", "", "01")
+
+
 def parse_matrix(text: str) -> BooleanMatrix:
     """Parse matrix text: one '0'/'1' row per line, '#' comments, blanks ignored.
 
@@ -151,37 +154,27 @@ def parse_matrix(text: str) -> BooleanMatrix:
     ragged lines, non-binary characters or duplicate rows; duplicate-row
     messages name the two offending 1-based line numbers.  Duplicate
     columns are legal input and only trigger a DuplicateColumnWarning.
+
+    Valid text takes C-level passes only: the stripped non-comment lines
+    come from map and filter, one translate of the joined lines checks the
+    alphabet (before int(line, 2), which also accepts '_', signs and
+    non-ASCII digits), one set each checks widths and duplicates, and map
+    converts.  Only when a check fails does _format_error walk the lines
+    to name the first bad one.
     """
-    rows: list[int] = []
-    seen_at: dict[int, int] = {}
-    width: int | None = None
-    first_line = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if set(line) - {"0", "1"}:
-            bad = next(ch for ch in line if ch not in "01")
-            raise MatrixFormatError(
-                f"line {lineno}: invalid character {bad!r}; rows must be '0'/'1' only"
-            )
-        if width is None:
-            width = len(line)
-            first_line = lineno
-        elif len(line) != width:
-            raise MatrixFormatError(
-                f"line {lineno}: row has {len(line)} columns, "
-                f"but line {first_line} has {width}"
-            )
-        value = int(line, 2)
-        if value in seen_at:
-            raise MatrixFormatError(
-                f"duplicate rows at lines {seen_at[value]} and {lineno}: {line}"
-            )
-        rows.append(value)
-        seen_at[value] = lineno
-    if width is None:
-        raise MatrixFormatError("no matrix rows found")
+    lines = list(filter(None, map(str.strip, text.splitlines())))
+    if "#" in text:
+        lines = [line for line in lines if line[0] != "#"]
+    if (
+        not lines
+        or "".join(lines).translate(_NOT_BINARY)
+        or len(set(map(len, lines))) != 1
+        or len(set(lines)) != len(lines)
+    ):
+        raise _format_error(text)
+    # from a list, for the reason given in mandatory.ClassSet.positions
+    rows = list(map(int, lines, repeat(2)))
+    width = len(lines[0])
     matrix = BooleanMatrix(
         col_count=width,
         rows=tuple(rows),
@@ -198,6 +191,36 @@ def parse_matrix(text: str) -> BooleanMatrix:
             stacklevel=2,
         )
     return matrix
+
+
+def _format_error(text: str) -> MatrixFormatError:
+    """The error of the first bad row line of text, line by line: a
+    character other than '0'/'1', a width unlike the first row's, or a
+    repeated row; failing those, no rows at all."""
+    seen_at: dict[str, int] = {}
+    width = first_line = 0
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if set(line) - {"0", "1"}:
+            bad = next(ch for ch in line if ch not in "01")
+            return MatrixFormatError(
+                f"line {lineno}: invalid character {bad!r}; rows must be '0'/'1' only"
+            )
+        if not width:
+            width, first_line = len(line), lineno
+        elif len(line) != width:
+            return MatrixFormatError(
+                f"line {lineno}: row has {len(line)} columns, "
+                f"but line {first_line} has {width}"
+            )
+        if line in seen_at:
+            return MatrixFormatError(
+                f"duplicate rows at lines {seen_at[line]} and {lineno}: {line}"
+            )
+        seen_at[line] = lineno
+    return MatrixFormatError("no matrix rows found")
 
 
 def load_matrix(path) -> BooleanMatrix:

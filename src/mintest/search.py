@@ -59,7 +59,6 @@ reported test with one.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 from functools import lru_cache, partial
 from math import comb
@@ -181,6 +180,8 @@ class TestReport:
     corrections: tuple[Correction, ...]
 
     def to_json(self) -> str:
+        import json  # here, so that importing the package does not load it
+
         return json.dumps(asdict(self), sort_keys=True)
 
 
@@ -241,7 +242,8 @@ def _reduce(
         verdict = check(columns)
         if verdict.ok:
             return columns
-        columns = tuple(c for c in columns if c != verdict.redundant)
+        # from a list, for the reason given in ClassSet.positions
+        columns = tuple([c for c in columns if c != verdict.redundant])
 
 
 def deadend_reduce(matrix: BooleanMatrix, columns: Iterable[int]) -> ColumnSet:
@@ -738,7 +740,8 @@ def enumerate_local_minimal_tests(
         local_tests=tests,
         mandatory=mand,
         integral_length=integral_length(len(mand), length),
-        integral_tests=tuple(tuple(sorted(mand + t)) for t in tests),
+        # from lists, for the reason given in ClassSet.positions
+        integral_tests=tuple([tuple(sorted(mand + t)) for t in tests]),
         estimate=estimate,
         stats=stats,
         corrections=corrections,
@@ -772,8 +775,9 @@ def enumerate_minimal_tests(
         minimal_length=local.integral_length,
         mandatory=mandatory.columns,
         minimal_tests=local.integral_tests,
-        deadend_verified=tuple(c.ok for c in checks),
-        witnesses=tuple(c.witnesses for c in checks),
+        # from lists, for the reason given in ClassSet.positions
+        deadend_verified=tuple([c.ok for c in checks]),
+        witnesses=tuple([c.witnesses for c in checks]),
         heuristic=estimate_length(column_pair_stats(matrix)),
         local_heuristic=local.estimate,
         estimate_initial=(

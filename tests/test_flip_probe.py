@@ -1,9 +1,10 @@
-"""The bit-flip probe against plain reference algorithms.
+"""The distance-1 scans against plain reference algorithms.
 
-find_mandatory and is_deadend each read distance-1 pairs off a hash
-probe, a loop of their own.  These tests pin their output, order
-included, to straightforward all-pairs and group-and-sort references
-written out here.
+find_mandatory reads distance-1 pairs off a bitset of the row values when
+that takes at most 128 bytes per row (1 << n <= 1024 * m), else off a
+hash probe; is_deadend always probes.  These tests pin their output,
+order included, to straightforward all-pairs and group-and-sort
+references written out here, on both sides of the bitset bound.
 The search's local dead-end verdict is pinned to a group-by reference too,
 in both its forms: on the subset lattice and on the minimal differences.
 """
@@ -101,9 +102,16 @@ def local_verdicts(class_set, columns):
     return verdicts
 
 
+def bitset_side(matrix):
+    """Whether find_mandatory takes the bitset, by the bound it documents."""
+    return 1 << matrix.col_count <= 1024 * matrix.row_count
+
+
 @st.composite
 def matrices(draw, max_cols=7, max_rows=12):
-    """Distinct rows under a shuffled labelling, so labels and row order differ."""
+    """Distinct rows under a shuffled labelling, so labels and row order
+    differ; some rows are others with one bit flipped, so distance-1 pairs
+    turn up on wide matrices too."""
     n = draw(st.integers(1, max_cols))
     values = draw(
         st.lists(
@@ -113,6 +121,11 @@ def matrices(draw, max_cols=7, max_rows=12):
             unique=True,
         )
     )
+    flips = st.tuples(st.integers(0, len(values) - 1), st.integers(0, n - 1))
+    for i, b in draw(st.lists(flips)):
+        flipped = values[i] ^ 1 << b
+        if len(values) < max_rows and flipped not in values:
+            values.append(flipped)
     labels = draw(st.permutations(range(1, len(values) + 1)))
     return BooleanMatrix(col_count=n, rows=tuple(values), row_labels=tuple(labels))
 
@@ -170,10 +183,35 @@ class TestFindMandatoryReference:
         assert res.columns == tuple(ref)
         assert list(res.witnesses.items()) == list(ref.items())
 
-    @settings(max_examples=150, deadline=None)
-    @given(matrices())
+    @settings(max_examples=300, deadline=None)
+    @given(matrices(max_cols=16))
     def test_random_labelled_matrices(self, matrix):
+        # up to 11 columns always on the bitset, from 14 always probed
         self.assert_matches(matrix)
+
+    def test_both_sides_of_the_bitset_bound(self):
+        # 13 columns: 8 rows fit the bitset exactly, 7 rows are probed
+        rng = random.Random(13)
+        base = rng.sample(range(1 << 12), 4)
+        values = base + [v | 1 << 12 for v in base]  # four column-1 pairs
+        for rows, bitset in ((values, True), (values[:7], False)):
+            m = BooleanMatrix(
+                col_count=13, rows=tuple(rows), row_labels=tuple(range(len(rows), 0, -1))
+            )
+            assert bitset_side(m) == bitset
+            self.assert_matches(m)
+            assert 1 in find_mandatory(m).columns
+
+    def test_tall_matrix_with_many_pairs_in_one_column(self):
+        # 500x18 on the bitset side, column 1 carrying 250 distance-1 pairs
+        rng = random.Random(18)
+        low = rng.sample(range(1 << 17), 250)
+        rows = low + [v | 1 << 17 for v in low]
+        rng.shuffle(rows)
+        m = BooleanMatrix(col_count=18, rows=tuple(rows), row_labels=tuple(range(1, 501)))
+        assert bitset_side(m)
+        self.assert_matches(m)
+        assert len(find_mandatory(m).witnesses[1]) == 250
 
     def test_seeded_random_stream(self):
         for seed in range(60):

@@ -200,6 +200,41 @@ class TestClassViews:
         assert cs.total_rows == 25
         assert cs.within_pair_total == 40
 
+    @staticmethod
+    def reference_rows(matrix, labels, columns):
+        """Each row's cells on the columns, packed one bit at a time."""
+        packed = []
+        for lab in labels:
+            v = 0
+            for c in columns:
+                v = v << 1 | matrix.cell(lab, c)
+            packed.append(v)
+        return tuple(packed)
+
+    @settings(max_examples=300, deadline=None)
+    @given(partition_inputs(), st.data())
+    def test_packing_matches_the_per_bit_reference(self, drawn, data):
+        matrix, mandatory = drawn
+        part = partition_by_mandatory(matrix, mandatory)
+        n = matrix.col_count
+        default = tuple(c for c in range(1, n + 1) if c not in part.mandatory)
+        choices = [(None, default)]
+        if n >= 3:  # explicit columns with a gap, in any order
+            chosen = data.draw(
+                st.sets(st.integers(1, n), min_size=2).filter(
+                    lambda cs: max(cs) - min(cs) >= len(cs)
+                )
+            )
+            choices.append((data.draw(st.permutations(sorted(chosen))), tuple(sorted(chosen))))
+        for columns, want in choices:
+            cs = class_views(matrix, part, columns)
+            assert cs.columns == want
+            assert [(v.name, v.key, v.row_labels) for v in cs.classes] == [
+                (c.name, c.key, c.members) for c in part.classes
+            ]
+            for view in cs.classes:
+                assert view.rows == self.reference_rows(matrix, view.row_labels, want)
+
 
 class TestClassSetParsing:
     def test_fixture(self, m8):

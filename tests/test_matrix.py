@@ -48,7 +48,78 @@ def planted_matrix_lines(draw):
     return list(dict.fromkeys(lines))
 
 
+def reference_parse(text):
+    """Row values of matrix text, or the MatrixFormatError message of its
+    first bad line: the line-by-line reading of the format."""
+    rows, seen_at, width, first_line = [], {}, None, 0
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        for ch in line:
+            if ch not in "01":
+                return f"line {lineno}: invalid character {ch!r}; rows must be '0'/'1' only"
+        if width is None:
+            width, first_line = len(line), lineno
+        elif len(line) != width:
+            return f"line {lineno}: row has {len(line)} columns, but line {first_line} has {width}"
+        if line in seen_at:
+            return f"duplicate rows at lines {seen_at[line]} and {lineno}: {line}"
+        seen_at[line] = lineno
+        rows.append(sum(int(ch) << (width - 1 - i) for i, ch in enumerate(line)))
+    return tuple(rows) if rows else "no matrix rows found"
+
+
+@st.composite
+def matrix_texts(draw):
+    """Matrix text of valid rows, comments, blank and indented lines, with
+    '\n' or '\r\n' endings, and sometimes a ragged row, a repeated row or a
+    character that int(line, 2) accepts but the format forbids."""
+    width = draw(st.integers(1, 6))
+    row = st.lists(st.sampled_from("01"), min_size=width, max_size=width).map("".join)
+    valid = draw(st.lists(row, max_size=10))
+    lines = []
+    for line in valid:
+        kind = draw(st.sampled_from(("plain", "plain", "indented", "comment", "blank")))
+        if kind == "indented":
+            line = " \t"[: draw(st.integers(1, 2))] + line + "  "
+        elif kind == "comment":
+            lines.append(draw(st.sampled_from(("#", "# 0101", "  #x"))))
+        elif kind == "blank":
+            lines.append(draw(st.sampled_from(("", "   "))))
+        lines.append(line)
+    for _ in range(draw(st.integers(0, 2))):
+        fault = draw(st.sampled_from(("ragged", "repeat", "_", "+", " ", "\u0661")))
+        at = draw(st.integers(0, len(lines)))
+        if fault == "ragged":
+            bad = draw(st.lists(st.sampled_from("01"), min_size=1, max_size=8).map("".join))
+        elif fault == "repeat":
+            bad = draw(st.sampled_from(valid)) if valid else "0" * width
+        elif fault in ("+", "\u0661"):  # in place of a digit, same width
+            bad = fault + draw(row)[1:]
+        else:  # int() takes '_' and ' ' only between digits
+            base = draw(row)
+            bad = base[:1] + fault + base[2:] if width >= 3 else "1" + fault + "0"
+        lines.insert(at, bad)
+    return draw(st.sampled_from(("\n", "\r\n"))).join(lines)
+
+
 class TestParsing:
+    @settings(max_examples=400, deadline=None)
+    @given(matrix_texts())
+    def test_parse_matches_the_line_by_line_reference(self, text):
+        want = reference_parse(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DuplicateColumnWarning)
+            if isinstance(want, str):
+                with pytest.raises(MatrixFormatError) as info:
+                    parse_matrix(text)
+                assert str(info.value) == want
+            else:
+                m = parse_matrix(text)
+                assert m.rows == want
+                assert m.row_labels == tuple(range(1, len(want) + 1))
+
     def test_smallest_valid(self):
         m = parse_matrix("01\n10\n")
         assert (m.row_count, m.col_count) == (2, 2)
