@@ -392,7 +392,7 @@ def _cmd_verify(args) -> int:
             f"test: {'yes' if verdict.test else 'no'}",
             f"dead-end: {'-' if verdict.deadend is None else ('yes' if verdict.deadend else 'no')}",
             f"minimal: {verdict.minimal}"
-            + (f" (minimal length {verdict.min_length})" if verdict.min_length else ""),
+            + (f" (minimal length {verdict.min_length})" if verdict.min_length is not None else ""),
         ]
         if verdict.note:
             lines.append(f"note: {verdict.note}")

@@ -297,28 +297,14 @@ def _minimal_masks(candidates: Iterable[int], width: int) -> tuple[int, ...]:
     return tuple(kept)
 
 
-@dataclass(frozen=True)
-class _Lattice:
-    """The subset lattice of width bits as ints of 2^width bits: bit x
-    stands for the subset with mask x.
-
-    holding[b] marks the subsets holding bit b, layers[k] the k-subsets,
-    lowest[j] the subsets whose lowest set bit is j, and clear_below[j]
-    (j up to width) the subsets with no bit below j.
-    """
-
-    holding: tuple[int, ...]
-    layers: tuple[int, ...]
-    lowest: tuple[int, ...]
-    clear_below: tuple[int, ...]
+_LATTICES: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
 
 
-_LATTICES: dict[int, _Lattice] = {}
-
-
-def _lattice(width: int) -> _Lattice:
-    """The tables of the subset lattice of width bits, built once per
-    width and kept: about 4 * width ints of 2^width bits.
+def _lattice(width: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The subset lattice of width bits as ints of 2^width bits, bit x
+    standing for the subset with mask x: the pair (holding, layers), where
+    holding[b] marks the subsets holding bit b and layers[k] the
+    k-subsets.  Built once per width and kept: 2 * width + 1 ints.
 
     holding[b] repeats 2^b clear bits then 2^b set ones, built by
     doubling the pattern; layers[k] grows one bit at a time, the sets
@@ -342,13 +328,7 @@ def _lattice(width: int) -> _Lattice:
         layers = [
             low | high << (1 << b) for low, high in zip(layers + [0], [0] + layers)
         ]
-    clear_below = [(1 << size) - 1]
-    lowest = []
-    for hold in holding:
-        lowest.append(clear_below[-1] & hold)
-        clear_below.append(clear_below[-1] ^ lowest[-1])
-    tables = _Lattice(tuple(holding), tuple(layers), tuple(lowest), tuple(clear_below))
-    _LATTICES[width] = tables
+    tables = _LATTICES[width] = (tuple(holding), tuple(layers))
     return tables
 
 
@@ -364,7 +344,7 @@ def _complemented(digits: bytearray) -> int:
 def _down_closure(sets: int, width: int) -> int:
     """Every subset of a set in sets: one shift-OR per bit, the fast zeta
     (subset-sum) transform of Yates (1937) done on bits."""
-    for b, hold in enumerate(_lattice(width).holding):
+    for b, hold in enumerate(_lattice(width)[0]):
         sets |= (sets & hold) >> (1 << b)
     return sets
 
@@ -372,7 +352,7 @@ def _down_closure(sets: int, width: int) -> int:
 def _up_step(sets: int, width: int) -> int:
     """Every set made of a set in sets plus one bit it lacks."""
     up = 0
-    for b, hold in enumerate(_lattice(width).holding):
+    for b, hold in enumerate(_lattice(width)[0]):
         up |= (sets & ~hold) << (1 << b)
     return up
 

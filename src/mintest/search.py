@@ -40,11 +40,11 @@ at once with big-int operations, on one of two kernels:
   of a 2^w-bit int stands for the subset with view mask x.  The non-tests
   (ClassSet.non_tests) and the sets holding a seed one column smaller
   (ClassSet.seed_up) are each one such int, so a size is its layer ANDed
-  with them and every counter is a popcount.  Scan order is by lowest
+  with them and every counter is a popcount.  Scan order is by least
   set bit, highest first, then by mask, larger first: the tests decode
-  by bit_length, and a stop at mask x of lowest bit j cuts the counters
-  at the subsets with no bit below j + 1 and those of lowest bit j from
-  x up.  A verdict is one bit test per column.
+  by bit_length, and a stop at mask x of least bit j cuts the counters
+  at the subsets with no bit below j, less those holding bit j below x.
+  A verdict is one bit test per column.
 * On a wider view, rank sets: the candidates are numbered in scan order,
   each view position keeps the ranks of those holding it as one big int
   (_rank_sets), in blocks of at most _BLOCK ranks (_blocks), and each
@@ -60,7 +60,7 @@ reported test with one.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from functools import lru_cache, partial
+from functools import cache, lru_cache, partial
 from math import comb
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -106,7 +106,6 @@ class SearchConfig:
     pair_prune: bool = True
     first_only: bool = False
     initial_length: int | None = None
-    no_heuristic_ceiling: int = 22
 
 
 @dataclass(frozen=True)
@@ -235,21 +234,19 @@ def is_deadend(matrix: BooleanMatrix, columns: Iterable[int]) -> DeadendCheck:
 
 
 def _reduce(
-    check: Callable[[ColumnSet], DeadendCheck], columns: ColumnSet
+    redundant: Callable[[ColumnSet], int | None], columns: ColumnSet
 ) -> ColumnSet:
-    """Strip redundant columns (highest index first) until dead-end."""
-    while True:
-        verdict = check(columns)
-        if verdict.ok:
-            return columns
+    """Strip the column redundant(columns) names until it names none."""
+    while (column := redundant(columns)) is not None:
         # from a list, for the reason given in ClassSet.positions
-        columns = tuple([c for c in columns if c != verdict.redundant])
+        columns = tuple([c for c in columns if c != column])
+    return columns
 
 
 def deadend_reduce(matrix: BooleanMatrix, columns: Iterable[int]) -> ColumnSet:
     """Strip redundant columns (highest index first) until dead-end."""
     cols = normalize_columns(columns, matrix.col_count)
-    return _reduce(partial(is_deadend, matrix), cols)
+    return _reduce(lambda cols: is_deadend(matrix, cols).redundant, cols)
 
 
 def verify_test(
@@ -261,7 +258,8 @@ def verify_test(
 
     Minimality is decided by the exhaustive oracle when the matrix is
     small enough; otherwise it is reported unknown with the heuristic
-    estimate as context.
+    estimate as context.  A matrix of fewer than two rows has one minimal
+    test, the empty set, and needs neither.
     """
     cols = normalize_columns(columns, matrix.col_count)
     if not is_test(matrix, cols):
@@ -269,25 +267,23 @@ def verify_test(
             columns=cols, test=False, deadend=None, minimal="no", min_length=None
         )
     deadend = is_deadend(matrix, cols).ok
-    try:
-        oracle = oracle_minimal_tests(matrix, n_ceiling=oracle_ceiling)
-    except OracleCeilingError:
-        est = estimate_length(column_pair_stats(matrix))
-        return TestVerdict(
-            columns=cols,
-            test=True,
-            deadend=deadend,
-            minimal="unknown",
-            min_length=None,
-            note=f"matrix too wide for the oracle; heuristic estimate {est.t0}",
-        )
-    minimal = "yes" if len(cols) == oracle.min_length else "no"
+    length = 0  # fewer than two rows: the empty set
+    if matrix.row_count >= 2:
+        try:
+            length = oracle_minimal_tests(matrix, n_ceiling=oracle_ceiling).min_length
+        except OracleCeilingError:
+            est = estimate_length(column_pair_stats(matrix))
+            return TestVerdict(
+                columns=cols,
+                test=True,
+                deadend=deadend,
+                minimal="unknown",
+                min_length=None,
+                note=f"matrix too wide for the oracle; heuristic estimate {est.t0}",
+            )
+    minimal = "yes" if len(cols) == length else "no"
     return TestVerdict(
-        columns=cols,
-        test=True,
-        deadend=deadend,
-        minimal=minimal,
-        min_length=oracle.min_length,
+        columns=cols, test=True, deadend=deadend, minimal=minimal, min_length=length
     )
 
 
@@ -295,9 +291,9 @@ def verify_test(
 # local machinery on class sets
 
 
-def _local_verdict(class_set: ClassSet, columns: ColumnSet) -> DeadendCheck:
-    """Dead-end verdict of a local test inside the class structure: ok,
-    or the highest-indexed redundant column, without witnesses.
+def _local_verdict(class_set: ClassSet, columns: ColumnSet) -> int | None:
+    """Dead-end verdict of a local test inside the class structure: its
+    highest-indexed redundant column, or None when it is dead-end.
 
     Column c separates a pair alone iff the pair's difference meets the
     test in c only.  A minimal difference inside it meets the test in a
@@ -320,7 +316,7 @@ def _local_verdict(class_set: ClassSet, columns: ColumnSet) -> DeadendCheck:
     else:
         private = set(map(mask.__and__, class_set.difference_masks))
         redundant = max((c for c in columns if bit_of[c] not in private), default=None)
-    return DeadendCheck(ok=redundant is None, witnesses=(), redundant=redundant)
+    return redundant
 
 
 # Above this many row triples in a class set, the seed test reads its
@@ -441,9 +437,9 @@ def _scan_size(
     lattice (_lattice_scan), a wider one over rank sets (_rank_scan);
     both give the same tests, hit and counters.  The cut follows scan
     order.  Over rank sets it is the ranks up to the hit.  On the
-    lattice the subsets come by lowest set bit, highest first, then by
-    mask, larger first; so a hit at mask x of lowest bit j cuts at the
-    subsets with no bit below j + 1 and those of lowest bit j from x up.
+    lattice the subsets come by least set bit, highest first, then by
+    mask, larger first; so a hit at mask x of least bit j cuts at the
+    subsets with no bit below j, less those holding bit j below x.
     """
     width = len(class_set.columns)
     if not 0 <= size <= width:
@@ -464,12 +460,12 @@ def _lattice_scan(
     candidates are the size layer, the paired ones hold both bits of a
     pair, the seeded ones lie in ClassSet.seed_up (above _TRIPLE_MASK_CAP
     triples, one up-step from the (k-1)-seeds) and the tests lie outside
-    ClassSet.non_tests."""
+    ClassSet.non_tests.  The tests decode by _colex_masks, and the cut
+    is read off holding at the hit."""
     columns = class_set.columns
     width = len(columns)
-    lattice = _lattice(width)
-    holding = lattice.holding
-    every = lattice.layers[size]
+    holding, layers = _lattice(width)
+    every = layers[size]
     paired = 0
     for a, b in pairs or ():
         paired |= holding[width - 1 - a] & holding[width - 1 - b]
@@ -488,7 +484,7 @@ def _lattice_scan(
     scan = _Scan([])
     cut = every
     bit_of = class_set.bit_of
-    for x in _colex_masks(tests, lattice.lowest):
+    for x in _colex_masks(tests, holding):
         # from a list, for the reason given in ClassSet.positions
         subset = tuple([c for c in columns if x & bit_of[c]])
         scan.tests.append(subset)
@@ -496,7 +492,9 @@ def _lattice_scan(
             scan.hit = subset
             if x and not count_all:  # the empty set is its whole size
                 j = (x & -x).bit_length() - 1
-                cut = lattice.clear_below[j + 1] | lattice.lowest[j] >> x << x
+                for hold in holding[:j]:
+                    cut &= ~hold
+                cut ^= cut & holding[j] & (1 << x) - 1
             break
     scan.checked = (clean & cut).bit_count()
     scan.seed_skips = ((free ^ clean) & cut).bit_count()
@@ -504,16 +502,22 @@ def _lattice_scan(
     return scan
 
 
-def _colex_masks(sets: int, lowest: Sequence[int]) -> Iterator[int]:
+def _colex_masks(sets: int, holding: Sequence[int]) -> Iterator[int]:
     """The masks of a lattice int of one size in the order of
-    iter_subsets_colex: by lowest set bit, highest first, then larger
-    masks first; the empty set, the only subset of size 0, last."""
-    for group in map(sets.__and__, reversed(lowest)):
+    iter_subsets_colex: by least set bit, highest first, then larger
+    masks first; the empty set, the only subset of size 0, last.  The
+    sets split by least set bit: the members holding bit 0, then those
+    left holding bit 1, and so on, each group XORed out of sets."""
+    groups = []
+    for hold in holding:
+        groups.append(sets & hold)
+        sets ^= groups[-1]
+    for group in reversed(groups):
         while group:
             x = group.bit_length() - 1
             yield x
             group ^= 1 << x
-    if sets & 1:
+    if sets:
         yield 0
 
 
@@ -614,16 +618,10 @@ def _search_local(
     pairs = None
     if config.pair_prune:
         pairs = _paired_positions([view.rows for view in class_set.classes], n_free)
-    verdicts: dict[ColumnSet, DeadendCheck] = {}
-
-    def deadend(columns: ColumnSet) -> DeadendCheck:
-        check = verdicts.get(columns)
-        if check is None:
-            check = verdicts[columns] = _local_verdict(class_set, columns)
-        return check
+    redundant = cache(partial(_local_verdict, class_set))  # each verdict once
 
     def not_deadend(columns: ColumnSet) -> bool:
-        return not deadend(columns).ok
+        return redundant(columns) is not None
 
     candidates = sweep_checked = pruned_by_seeds = pruned_by_pairs = 0
     cycle_cost: CycleCost | None = None
@@ -651,7 +649,9 @@ def _search_local(
         pruned_by_seeds += scan.seed_skips
         pruned_by_pairs += scan.pair_skips
         found = scan.tests
-        target = next(filter(not_deadend, found), None)  # first non-dead-end
+        target = scan.hit  # the first non-dead-end test, or the first test
+        if config.first_only and found and redundant(target) is None:
+            target = None
         if found and target is None:
             if length - 1 <= refuted:
                 break
@@ -683,7 +683,7 @@ def _search_local(
             if new_length > n_free:
                 raise RuntimeError("no local test up to the full column set")
         else:
-            new_length = len(_reduce(deadend, target))
+            new_length = len(_reduce(redundant, target))
         corrections.append(Correction(t_ob + length, t_ob + new_length, reason))
         length = new_length
 
@@ -700,12 +700,16 @@ def _search_local(
     return length, tuple(sorted(found)), stats, tuple(corrections)
 
 
+# A search without the heuristic refuses more columns than this.
+_NO_HEURISTIC_CEILING = 22
+
+
 def _check_ceiling(columns: int, config: SearchConfig) -> None:
     """Refuse a heuristic-free search over more columns than the ceiling."""
-    if not config.use_heuristic and columns > config.no_heuristic_ceiling:
+    if not config.use_heuristic and columns > _NO_HEURISTIC_CEILING:
         raise SearchCeilingError(
             f"{columns} columns exceed the ceiling of "
-            f"{config.no_heuristic_ceiling} for heuristic-free search"
+            f"{_NO_HEURISTIC_CEILING} for heuristic-free search"
         )
 
 

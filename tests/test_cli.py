@@ -268,6 +268,19 @@ class TestVerify:
         assert (code, out) == (1, "")
         assert err == "error: column 99 out of range 1..10\n"
 
+    def test_one_row_above_the_oracle_ceiling(self, capsys, tmp_path):
+        path = tmp_path / "one.txt"
+        path.write_text("01" * 11 + "0\n")  # one row of 23 columns
+        argv = ("verify", "--input", str(path), "--test", "1", "--ceiling", "0")
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out == (
+            "columns: 1\ntest: yes\ndead-end: no\nminimal: no (minimal length 0)\n"
+        )
+        code, out, _ = run(capsys, *argv, "--json")
+        assert code == 0
+        assert json.loads(out)["min_length"] == 0
+
 
 class TestOracle:
     def test_fixture(self, capsys):

@@ -76,7 +76,7 @@ def reference_is_deadend(matrix, cols):
 def reference_local_deadend(class_set, columns):
     """Group each class's rows by the other columns of the local test: a
     column with no two-row group separates no pair alone and is redundant;
-    the highest-indexed one is reported.  No witnesses, as in the search."""
+    the highest-indexed one is returned, None when there is none."""
     redundant = None
     for c in columns:
         rest_mask = class_set.mask(x for x in columns if x != c)
@@ -86,7 +86,7 @@ def reference_local_deadend(class_set, columns):
         )
         if not alone and (redundant is None or c > redundant):
             redundant = c
-    return DeadendCheck(ok=redundant is None, witnesses=(), redundant=redundant)
+    return redundant
 
 
 def local_verdicts(class_set, columns):
@@ -298,7 +298,7 @@ class TestLocalDeadendReference:
             for cols in all_local_tests(cs):
                 check = reference_local_deadend(cs, cols)
                 assert local_verdicts(cs, cols) == [check] * 2
-                kinds.add(check.ok)
+                kinds.add(check is None)
         assert kinds == {True, False}
 
     def test_fixture(self, m8):

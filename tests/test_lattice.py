@@ -52,28 +52,26 @@ def bits(width, keep):
 
 @pytest.mark.parametrize("width", range(9))
 def test_tables_mark_their_subsets(width):
-    lattice = _lattice(width)
-    assert lattice.holding == tuple(
-        bits(width, lambda x: x >> b & 1) for b in range(width)
-    )
-    assert lattice.layers == tuple(
+    holding, layers = _lattice(width)
+    assert holding == tuple(bits(width, lambda x: x >> b & 1) for b in range(width))
+    assert layers == tuple(
         bits(width, lambda x: x.bit_count() == k) for k in range(width + 1)
-    )
-    assert lattice.lowest == tuple(
-        bits(width, lambda x: x and (x & -x) == 1 << j) for j in range(width)
-    )
-    assert lattice.clear_below == tuple(
-        bits(width, lambda x: not x & (1 << j) - 1) for j in range(width + 1)
     )
 
 
 @pytest.mark.parametrize("width", range(9))
 def test_masks_decode_in_scan_order(width):
-    lattice = _lattice(width)
+    """Whole layers, and a random part of each, decode in the order of
+    iter_subsets_colex."""
+    rng = random.Random(width)
+    holding, layers = _lattice(width)
     for size in range(width + 1):
         subsets = iter_subsets_colex(range(width), size)
         want = [sum(1 << (width - 1 - p) for p in s) for s in subsets]
-        assert list(_colex_masks(lattice.layers[size], lattice.lowest)) == want
+        assert list(_colex_masks(layers[size], holding)) == want
+        part = [x for x in want if rng.random() < 0.3]
+        sets = sum(1 << x for x in part)
+        assert list(_colex_masks(sets, holding)) == part
 
 
 def assert_families(class_set):

@@ -78,7 +78,7 @@ def stops(class_set):
     return {
         "none": None,
         "first": lambda test: True,
-        "first-not-deadend": lambda test: not _local_verdict(class_set, test).ok,
+        "first-not-deadend": lambda test: _local_verdict(class_set, test) is not None,
     }
 
 
@@ -188,6 +188,29 @@ class TestKernelAgainstReference:
             assert_scans_agree(class_set)
         finally:
             search._TRIPLE_MASK_CAP, search._LATTICE_WIDTH = saved
+
+
+@pytest.mark.parametrize("width", [search._LATTICE_WIDTH, 0], ids=["lattice", "rank-sets"])
+def test_stop_at_every_hit_position(monkeypatch, width):
+    """A stop at the n-th test of a scan, for every n: the tests, hit and
+    counters must be cut exactly there.  The class sets are small classes
+    over 9 columns, one of them paired, so most sizes hold many tests."""
+    monkeypatch.setattr(search, "_LATTICE_WIDTH", width)
+    seen = {"seed": 0, "pair": 0, "hit": 0}
+    for seed in range(6):
+        rng = random.Random(seed)
+        cs = random_class_set(rng, 9, [rng.randint(4, 8) for _ in range(3)], 1)
+        for size in range(len(cs.columns) + 1):
+            for seeds in (True, False):
+                for pairs in (True, False):
+                    for test in reference_scan(cs, size, seeds, pairs)[0]:
+                        got = kernel_scan(cs, size, seeds, pairs, test.__eq__)
+                        want = reference_scan(cs, size, seeds, pairs, test.__eq__)
+                        assert got == want, (seed, size, seeds, pairs, test)
+                        seen["seed"] += got[3]
+                        seen["pair"] += got[4]
+                        seen["hit"] += 1
+    assert seen["hit"] > 2000 and seen["seed"] and seen["pair"], seen
 
 
 def test_single_row_classes_make_every_set_a_test(monkeypatch):

@@ -148,21 +148,26 @@ class TestEnumerate:
         assert list(report.minimal_tests) == Q25_MINIMAL_TESTS
         assert report.estimate_initial is None
 
-    def test_ceiling_without_heuristic(self):
-        m = random_matrix(3, rows=6, cols=8)
-        with pytest.raises(SearchCeilingError):
-            enumerate_minimal_tests(
-                m, SearchConfig(use_heuristic=False, no_heuristic_ceiling=7)
-            )
+    @pytest.fixture
+    def no_scan(self, monkeypatch):
+        def scan(*args, **kwargs):
+            raise AssertionError("scanned past the ceiling")
 
-    def test_class_set_ceiling_without_heuristic(self, m8):
-        with pytest.raises(SearchCeilingError, match="4 columns exceed"):
-            enumerate_local_minimal_tests(
-                m8, SearchConfig(use_heuristic=False, no_heuristic_ceiling=3)
-            )
-        report = enumerate_local_minimal_tests(
-            m8, SearchConfig(use_heuristic=False, no_heuristic_ceiling=4)
-        )
+        monkeypatch.setattr(mintest.search, "_scan_size", scan)
+
+    def test_ceiling_without_heuristic(self, no_scan):
+        m = random_matrix(3, rows=3, cols=23)
+        with pytest.raises(SearchCeilingError, match="23 columns exceed the ceiling of 22"):
+            enumerate_minimal_tests(m, SearchConfig(use_heuristic=False))
+
+    def test_class_set_ceiling_without_heuristic(self, no_scan):
+        view = ClassView(name="M1", key=(), row_labels=(1, 2), rows=(0, 1))
+        wide = ClassSet(columns=tuple(range(1, 24)), classes=(view,))
+        with pytest.raises(SearchCeilingError, match="23 columns exceed"):
+            enumerate_local_minimal_tests(wide, SearchConfig(use_heuristic=False))
+
+    def test_narrow_class_set_without_heuristic(self, m8):
+        report = enumerate_local_minimal_tests(m8, SearchConfig(use_heuristic=False))
         assert report.local_length == 2
 
     @pytest.mark.parametrize("seed_prune", [True, False])
@@ -313,7 +318,7 @@ class TestLocalEnumeration:
         # the reduction the correction loop applies to a jump target
         verdict = partial(mintest.search._local_verdict, m8)
         assert mintest.search._reduce(verdict, (1, 5, 8, 9)) == (1, 5)
-        assert verdict((1, 5)).ok
+        assert verdict((1, 5)) is None
 
 
 class TestVerify:
@@ -338,6 +343,24 @@ class TestVerify:
         assert v.test
         assert v.minimal == "unknown"
         assert "estimate" in v.note
+
+    def test_one_row_above_the_oracle_ceiling(self, monkeypatch):
+        """One row: the empty set is the one minimal test, answered with
+        no oracle call and no estimate."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("called for a one-row matrix")
+
+        monkeypatch.setattr(mintest.search, "oracle_minimal_tests", refuse)
+        monkeypatch.setattr(mintest.search, "column_pair_stats", refuse)
+        one = parse_matrix("01" * 11 + "0")
+        assert one.col_count == 23
+        v = verify_test(one, (1,), oracle_ceiling=0)
+        assert (v.test, v.deadend, v.minimal, v.min_length, v.note) == (
+            True, False, "no", 0, ""
+        )
+        v = verify_test(one, (), oracle_ceiling=0)
+        assert (v.test, v.deadend, v.minimal, v.min_length) == (True, True, "yes", 0)
 
 
 class TestExactnessStream:
