@@ -79,13 +79,6 @@ def _at_least(flag: str, value: int, low: int = 0) -> None:
         raise MatrixFormatError(f"{flag} must be >= {low}, got {value}")
 
 
-def _two_rows(matrix: BooleanMatrix) -> BooleanMatrix:
-    """The matrix, unless it has no row pair to separate."""
-    if matrix.row_count < 2:
-        raise MatrixFormatError("the matrix needs at least two rows")
-    return matrix
-
-
 def _generator_config(
     rows: int, cols: int, density: float, seed: int = 0
 ) -> GeneratorConfig:
@@ -148,7 +141,9 @@ def _cmd_analyze(args) -> int:
     data = _parse_any(_read_input(args.input))
     if isinstance(data, ClassSet):
         return _analyze_class_set(args, data)
-    matrix = _two_rows(data)
+    matrix = data
+    if matrix.row_count < 2:  # the pair statistics need a row pair
+        raise MatrixFormatError("the matrix needs at least two rows")
     mandatory = find_mandatory(matrix)
     partition = partition_by_mandatory(matrix, mandatory.columns)
     stats = column_pair_stats(matrix)
@@ -340,7 +335,7 @@ def _cmd_enumerate(args) -> int:
         _emit(args, "\n".join(lines))
         return EXIT_OK
 
-    report = enumerate_minimal_tests(_two_rows(data), config)
+    report = enumerate_minimal_tests(data, config)
     if args.report:
         _write_tests_csv(args.report, report.minimal_tests)
     if args.json:

@@ -20,13 +20,15 @@ starting point, not a bound; the search corrects it in both directions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import mul
 from typing import Sequence
 
 from .matrix import BooleanMatrix, ColumnSet, pair_count
 from .mandatory import ClassSet
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ColumnPairStats:
     """Per-column pair-separation counts over a fixed row population."""
 
@@ -39,7 +41,7 @@ class ColumnPairStats:
     undistinguished: tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class HeuristicEstimate:
     """Estimated minimal test length with the full bracket audit trail."""
 
@@ -56,11 +58,11 @@ class HeuristicEstimate:
 def _stats(columns: Sequence[int], rows: Sequence[int], width: int) -> ColumnPairStats:
     m = len(rows)
     mhat = pair_count(m)
-    # bin of a row with a bit set above its width, less "0b1", is its
-    # width digits; joined, position pos holds every width-th digit.
+    # bin of a row with a bit set above its width is "0b1" and its width
+    # digits; joined, position pos holds every (width + 3)-th digit from 3.
     top = 1 << width
-    digits = "".join([bin(r | top)[3:] for r in rows])
-    ones = [digits[pos::width].count("1") for pos in range(width)]
+    digits = "".join(map(bin, map(top.__or__, rows)))
+    ones = [digits[pos::width + 3].count("1") for pos in range(3, width + 3)]
     zeros = [m - o for o in ones]
     dist = [o * z for o, z in zip(ones, zeros)]
     # Tuples from lists, for the reason given in ClassSet.positions.
@@ -92,10 +94,9 @@ def union_pair_stats(class_set: ClassSet) -> ColumnPairStats:
     order; the union keeps the local estimate cheap while staying
     representative.
     """
-    ranked = sorted(
-        range(len(class_set.classes)),
-        key=lambda i: (-class_set.classes[i].size, i),
-    )
+    sizes = [view.size for view in class_set.classes]
+    # A stable sort keeps ties in class order, reversed or not.
+    ranked = sorted(range(len(sizes)), key=sizes.__getitem__, reverse=True)
     chosen = [class_set.classes[i] for i in sorted(ranked[:2])]
     rows = [r for cls in chosen for r in cls.rows]
     if len(rows) < 2:
@@ -114,20 +115,13 @@ def estimate_length(stats: ColumnPairStats) -> HeuristicEstimate:
     mhat = stats.total_pairs
     if mhat < 1:
         raise ValueError("need at least one row pair")
-    order = sorted(
-        range(len(stats.columns)),
-        key=lambda i: (stats.undistinguished[i], stats.columns[i]),
-    )
-    ratios = [stats.undistinguished[i] / mhat for i in order]
+    order = sorted(zip(stats.undistinguished, stats.columns))
+    ratios = [u / mhat for u, _ in order]
     if not ratios or ratios[0] >= 1.0:
         raise ValueError("no column distinguishes any pair")
     threshold = 1.0 / mhat
     r_min = ratios[0]
-    betas = []
-    beta = 1.0
-    for r in ratios:
-        beta *= r
-        betas.append(beta)
+    betas = list(accumulate(ratios, mul))
     # The first t whose next product drops to the threshold; a bracket
     # only if beta_t itself is still above it.
     t = next((t for t, b in enumerate(betas, 1) if b * r_min <= threshold), 0)
@@ -140,7 +134,7 @@ def estimate_length(stats: ColumnPairStats) -> HeuristicEstimate:
         beta_next=betas[t0 - 1] * r_min,
         threshold=threshold,
         ratio_list=tuple(ratios),
-        sorted_columns=tuple([stats.columns[i] for i in order]),
+        sorted_columns=tuple([c for _, c in order]),
         beta_sequence=tuple(betas),
         degenerate=degenerate,
     )

@@ -19,9 +19,12 @@ pairs of adjacent popcount buckets are kept only as the statistic
 
 from __future__ import annotations
 
+import sys
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from math import comb
 from typing import Iterable, TypeVar
 
@@ -37,7 +40,7 @@ from .matrix import (
 _Marks = TypeVar("_Marks", dict[int, int], bytearray)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class MandatoryResult:
     """Mandatory columns and, per column, the distance-1 pairs proving it."""
 
@@ -49,7 +52,7 @@ class MandatoryResult:
         return len(self.columns)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class PartitionClass:
     """Rows sharing one value vector on the mandatory columns."""
 
@@ -70,7 +73,7 @@ class PartitionClass:
         return len(self.members)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Partition:
     """Multi-row classes plus the singleton rows that need no further work.
 
@@ -94,7 +97,7 @@ class Partition:
         return sum(pair_count(c.size) for c in self.classes)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ClassView:
     """One class projected onto the view columns, rows bit-packed."""
 
@@ -440,13 +443,16 @@ def partition_by_mandatory(
     Single-member groups are dropped from further search (their rows are
     already separated from everything) but recorded for reporting.  With
     no mandatory columns the partition is one class holding every row.
+    The rows are grouped in row order, and only each group's members are
+    sorted by label.
     """
-    mand = normalize_columns(mandatory, matrix.col_count)
     n = matrix.col_count
-    mask = matrix.column_mask(mand)
+    mand = normalize_columns(mandatory, n)
+    shifts = [n - c for c in mand]
+    mask = sum([1 << shift for shift in shifts])
     groups: dict[int, list[int]] = {}
-    for lab, bits in sorted(zip(matrix.row_labels, matrix.rows)):
-        groups.setdefault(bits & mask, []).append(lab)
+    for value, label in zip(map(mask.__and__, matrix.rows), matrix.row_labels):
+        groups.setdefault(value, []).append(label)
     classes = []
     singles: list[int] = []
     single_keys: list[tuple[int, ...]] = []
@@ -455,13 +461,12 @@ def partition_by_mandatory(
     for ordinal, value in enumerate(sorted(groups), start=1):
         members = groups[value]
         # from a list, for the reason given in ClassSet.positions
-        key = tuple([value >> (n - c) & 1 for c in mand])
-        if len(members) >= 2:
-            classes.append(
-                PartitionClass(key=key, ordinal=ordinal, members=tuple(members))
-            )
+        key = tuple([value >> shift & 1 for shift in shifts])
+        if len(members) > 1:
+            members.sort()
+            classes.append(PartitionClass(key, ordinal, tuple(members)))
         else:
-            singles.extend(members)
+            singles.append(members[0])
             single_keys.append(key)
     return Partition(
         mandatory=mand,
@@ -480,8 +485,11 @@ def class_views(
 
     By default the view columns are all non-mandatory columns of the
     matrix, in ascending order.  View columns adjacent in the matrix form
-    a run whose bits keep one distance to their view positions, so each
-    row packs with one mask and shift per run.
+    a run whose bits keep one distance to their view positions, so a row
+    packs with one mask and shift per run.  Rows of at most 64 bits are
+    packed all at once: the class rows, in class order, are the 64-bit
+    fields of one int, which takes one AND and one shift per run and is
+    read back through an array.
     """
     if columns is None:
         # from a list, for the reason given in ClassSet.positions
@@ -495,25 +503,32 @@ def class_views(
     for pos, c in enumerate(cols):
         drop = (n - c) - (width - 1 - pos)
         drops[drop] = drops.get(drop, 0) | 1 << (n - c)
-    runs = list(drops.items())
-    row_of = dict(zip(matrix.row_labels, matrix.rows))
-    views = []
-    for cls in partition.classes:
-        packed = []
-        for lab in cls.members:
-            row = row_of[lab]
+    members = chain.from_iterable([cls.members for cls in partition.classes])
+    rows = list(map(dict(zip(matrix.row_labels, matrix.rows)).__getitem__, members))
+    if n <= 64:
+        # A run's masked bits lie at or above its shift, so shifting the
+        # whole int keeps each in its own field.
+        order = sys.byteorder
+        fields = int.from_bytes(array("Q", rows).tobytes(), order)
+        ones = int.from_bytes((array("Q", [1]) * len(rows)).tobytes(), order)
+        packed = 0
+        for drop, mask in drops.items():
+            packed |= (fields & mask * ones) >> drop
+        out = array("Q")
+        out.frombytes(packed.to_bytes(8 * len(rows), order))
+        rows = out.tolist()
+    else:
+        runs = list(drops.items())
+        for i, row in enumerate(rows):
             v = 0
             for drop, mask in runs:
                 v |= (row & mask) >> drop
-            packed.append(v)
-        views.append(
-            ClassView(
-                name=cls.name,
-                key=cls.key,
-                row_labels=cls.members,
-                rows=tuple(packed),
-            )
-        )
+            rows[i] = v
+    views = []
+    end = 0
+    for cls in partition.classes:
+        start, end = end, end + len(cls.members)
+        views.append(ClassView(cls.name, cls.key, cls.members, tuple(rows[start:end])))
     return ClassSet(
         columns=cols,
         classes=tuple(views),

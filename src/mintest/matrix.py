@@ -100,6 +100,17 @@ class BooleanMatrix:
             raise ValueError("row value out of range for col_count")
 
     @classmethod
+    def _unchecked(
+        cls, col_count: int, rows: tuple[int, ...], row_labels: tuple[int, ...]
+    ) -> "BooleanMatrix":
+        """A matrix whose fields a caller has already checked, built
+        without __post_init__, which sorts the labels and hashes every
+        row again."""
+        matrix = object.__new__(cls)
+        matrix.__dict__.update(col_count=col_count, rows=rows, row_labels=row_labels)
+        return matrix
+
+    @classmethod
     def from_strings(cls, lines: Sequence[str]) -> "BooleanMatrix":
         """Build from '0'/'1' strings, labelling rows 1..m in the given order."""
         return parse_matrix("\n".join(lines))
@@ -175,11 +186,7 @@ def parse_matrix(text: str) -> BooleanMatrix:
     # from a list, for the reason given in mandatory.ClassSet.positions
     rows = list(map(int, lines, repeat(2)))
     width = len(lines[0])
-    matrix = BooleanMatrix(
-        col_count=width,
-        rows=tuple(rows),
-        row_labels=tuple(range(1, len(rows) + 1)),
-    )
+    matrix = BooleanMatrix._unchecked(width, tuple(rows), tuple(range(1, len(rows) + 1)))
     # Against an all-zero first row, paired columns are equal columns.
     first: dict[int, int] = {}
     for i, j in _paired_positions([(0, *rows)], width):
@@ -238,14 +245,12 @@ def sort_rows_by_binary_value(matrix: BooleanMatrix) -> BooleanMatrix:
     """Rows in ascending order of their value as binary numbers (col 1 = MSB).
 
     Labels travel with their rows, so this is a pure reordering: no test
-    property of the matrix changes.
+    property of the matrix changes, and the result needs no new checks.
+    Rows are distinct, so the pairs sort by row alone.
     """
-    order = sorted(range(matrix.row_count), key=lambda i: matrix.rows[i])
-    return BooleanMatrix(
-        col_count=matrix.col_count,
-        rows=tuple(matrix.rows[i] for i in order),
-        row_labels=tuple(matrix.row_labels[i] for i in order),
-    )
+    pairs = sorted(zip(matrix.rows, matrix.row_labels))
+    rows, labels = zip(*pairs) if pairs else ((), ())
+    return BooleanMatrix._unchecked(matrix.col_count, rows, labels)
 
 
 def distinguishing_columns(matrix: BooleanMatrix, r1: int, r2: int) -> ColumnSet:

@@ -763,10 +763,10 @@ def enumerate_minimal_tests(
     search on the multi-row classes gives the minimal tests, each the
     mandatory columns plus one local test, and every one is certified
     dead-end on the full matrix.  The report carries the estimates,
-    corrections and search statistics that produced them.
+    corrections and search statistics that produced them.  A matrix of
+    fewer than two rows has the empty test alone, and no whole-matrix
+    estimate, since that needs a row pair.
     """
-    if matrix.row_count < 2:
-        raise ValueError("minimal tests need at least two rows")
     _check_ceiling(matrix.col_count, config)
     mandatory = find_mandatory(matrix)
     partition = partition_by_mandatory(matrix, mandatory.columns)
@@ -782,7 +782,9 @@ def enumerate_minimal_tests(
         # from lists, for the reason given in ClassSet.positions
         deadend_verified=tuple([c.ok for c in checks]),
         witnesses=tuple([c.witnesses for c in checks]),
-        heuristic=estimate_length(column_pair_stats(matrix)),
+        heuristic=(
+            estimate_length(column_pair_stats(matrix)) if matrix.row_count > 1 else None
+        ),
         local_heuristic=local.estimate,
         estimate_initial=(
             integral_length(len(mandatory.columns), start)

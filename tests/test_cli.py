@@ -1,9 +1,13 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import mintest
 from mintest.cli import build_parser, main
 
 
@@ -182,10 +186,16 @@ class TestEnumerate:
         assert "--first" in help_text
         assert "--all" not in help_text
 
-    def test_one_row_matrix_exit_1(self, capsys, one_row_file):
+    def test_one_row_matrix_empty_test(self, capsys, one_row_file):
+        """One row: the empty test of length 0, as the oracle answers."""
         code, out, err = run(capsys, "enumerate", "--input", one_row_file)
-        assert (code, out) == (1, "")
-        assert err == "error: the matrix needs at least two rows\n"
+        assert (code, err) == (0, "")
+        assert out.startswith("minimal test length: 0\n")
+        code, out, _ = run(capsys, "enumerate", "--input", one_row_file, "--json")
+        assert code == 0
+        doc = json.loads(out)
+        assert (doc["minimal_length"], doc["minimal_tests"]) == (0, [[]])
+        assert doc["heuristic"] is None
 
     def test_class_set_of_single_rows(self, capsys, tmp_path):
         """Nothing to separate: the empty local test, with the heuristic
@@ -528,6 +538,19 @@ def test_readme_usage_block_lists_every_option(capsys):
         shown = set(LONG_OPTION.findall(capsys.readouterr().out)) - {"--help"}
         listed = set(LONG_OPTION.findall(entries[command]))
         assert sorted(shown - listed) == [], command
+
+
+def test_python_dash_m_runs_the_cli():
+    """`python -m mintest` from a source tree: the package directory's
+    parent on the path is all it needs."""
+    source = str(Path(mintest.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=source)
+    proc = subprocess.run(
+        [sys.executable, "-m", "mintest", "--help"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith("usage: mintest ")
 
 
 @pytest.fixture

@@ -183,6 +183,25 @@ class TestPartitionDefinition:
         assert part.dropped_singletons == tuple(groups[key][0] for key in singles)
 
 
+    @settings(max_examples=100, deadline=None)
+    @given(partition_inputs(), st.randoms(use_true_random=False))
+    def test_row_order_does_not_matter(self, drawn, rng):
+        """Permuting the rows, labels travelling with them, changes no
+        class: members stay in ascending label order."""
+        matrix, columns = drawn
+        order = list(range(matrix.row_count))
+        rng.shuffle(order)
+        permuted = BooleanMatrix(
+            col_count=matrix.col_count,
+            rows=tuple(matrix.rows[i] for i in order),
+            row_labels=tuple(matrix.row_labels[i] for i in order),
+        )
+        part = partition_by_mandatory(permuted, columns)
+        assert part == partition_by_mandatory(matrix, columns)
+        for cls in part.classes:
+            assert list(cls.members) == sorted(cls.members)
+
+
 class TestClassViews:
     def test_views_match_cells(self, q25):
         part = partition_by_mandatory(q25, (5, 8, 10))
@@ -234,6 +253,27 @@ class TestClassViews:
             ]
             for view in cs.classes:
                 assert view.rows == self.reference_rows(matrix, view.row_labels, want)
+
+
+    @pytest.mark.parametrize("width", [64, 65])
+    def test_packing_at_and_above_64_columns(self, width):
+        """Rows of 64 bits are packed as fields of one int, wider rows one
+        by one; both must match a per-row reference."""
+        matrix = random_matrix(width, rows=40, cols=width)
+        rows = list(matrix.rows)
+        for i, column in ((0, 1), (3, 30), (7, width)):  # three mandatory columns
+            rows.append(rows[i] ^ 1 << (width - column))
+        matrix = BooleanMatrix(width, tuple(rows), tuple(range(1, len(rows) + 1)))
+        part = partition_by_mandatory(matrix, find_mandatory(matrix).columns)
+        assert {1, 30, width} <= set(part.mandatory)
+        cs = class_views(matrix, part)
+        assert sum(view.size for view in cs.classes) > 2
+        for view in cs.classes:
+            want = []
+            for lab in view.row_labels:
+                row = format(matrix.bits(lab), f"0{width}b")
+                want.append(int("".join(row[c - 1] for c in cs.columns), 2))
+            assert view.rows == tuple(want)
 
 
 class TestClassSetParsing:

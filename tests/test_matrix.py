@@ -231,6 +231,40 @@ class TestSorting:
             assert is_test(m, cols) == is_test(s, cols)
 
 
+@st.composite
+def small_matrices(draw):
+    """Matrices of 1-8 distinct rows over 1-8 columns, one-row and
+    one-column ones included."""
+    width = draw(st.integers(1, 8))
+    rows = draw(distinct_rows(width, min_size=1, max_size=min(8, 1 << width)))
+    return matrix_from_ints(rows, width)
+
+
+class TestUncheckedConstruction:
+    """parse_matrix and sort_rows_by_binary_value skip the constructor's
+    checks; their results must be what the checked constructor builds."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_matrices())
+    def test_results_pass_the_checked_constructor(self, matrix):
+        text = "\n".join(format(r, f"0{matrix.col_count}b") for r in matrix.rows)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DuplicateColumnWarning)
+            parsed = parse_matrix(text)
+        assert parsed == matrix
+        for built in (parsed, sort_rows_by_binary_value(parsed)):
+            assert BooleanMatrix(built.col_count, built.rows, built.row_labels) == built
+            assert type(built.rows) is type(built.row_labels) is tuple
+        ordered = sort_rows_by_binary_value(parsed)
+        assert list(ordered.rows) == sorted(matrix.rows)
+        assert [ordered.bits(lab) for lab in ordered.row_labels] == list(ordered.rows)
+        assert [matrix.bits(lab) for lab in ordered.row_labels] == list(ordered.rows)
+
+    def test_sort_of_an_empty_matrix(self):
+        empty = BooleanMatrix(col_count=3, rows=(), row_labels=())
+        assert sort_rows_by_binary_value(empty) == empty
+
+
 class TestDistinguishingColumns:
     def test_fixture_pairs(self, q25):
         assert distinguishing_columns(q25, 12, 22) == (10,)

@@ -134,9 +134,18 @@ class TestEnumerate:
         assert report.minimal_tests == ((1, 2),)
         assert report.stats.class_count == 0
 
-    def test_single_row_rejected(self):
-        with pytest.raises(ValueError):
-            enumerate_minimal_tests(parse_matrix("01\n"))
+    def test_single_row_is_the_oracle_answer(self):
+        """One row: the empty test of length 0, with no whole-matrix
+        estimate, as the oracle answers."""
+        for text in ("01", "0", "10" * 11):
+            matrix = parse_matrix(text)
+            report = enumerate_minimal_tests(matrix)
+            oracle = oracle_minimal_tests(matrix)
+            assert (report.minimal_length, report.minimal_tests) == (
+                oracle.min_length, oracle.minimal_tests
+            ) == (0, ((),))
+            assert report.deadend_verified == (True,)
+            assert (report.heuristic, report.local_heuristic) == (None, None)
 
     def test_first_only(self, q25):
         report = enumerate_minimal_tests(q25, SearchConfig(first_only=True))
