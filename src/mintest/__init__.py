@@ -12,12 +12,10 @@ from .matrix import (
     ColumnSet,
     DuplicateColumnWarning,
     MatrixFormatError,
-    distinguishing_columns,
     is_test,
     load_matrix,
     pair_count,
     parse_matrix,
-    row_popcounts,
     sort_rows_by_binary_value,
 )
 from .mandatory import (
@@ -27,7 +25,6 @@ from .mandatory import (
     Partition,
     PartitionClass,
     candidate_pair_count,
-    candidate_pairs,
     class_views,
     find_mandatory,
     load_class_set,
@@ -45,15 +42,10 @@ from .heuristic import (
 from .pruning import (
     CycleCost,
     IdenticalProjectionGroup,
-    SweepResult,
-    all_k_subsets_fail,
     bijective_column_pairs,
     cycle_costs,
-    is_local_test,
     iter_subsets_colex,
     multiplicity_seeds,
-    paired_view_columns,
-    residual_pairs_lower_bound,
     seed_masks,
 )
 from .search import (
@@ -65,7 +57,6 @@ from .search import (
     SearchStats,
     TestReport,
     TestVerdict,
-    deadend_reduce,
     enumerate_local_minimal_tests,
     enumerate_minimal_tests,
     is_deadend,

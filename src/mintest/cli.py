@@ -34,7 +34,7 @@ from .mandatory import (
     parse_class_set,
     partition_by_mandatory,
 )
-from .matrix import BooleanMatrix, MatrixFormatError, is_test, parse_matrix
+from .matrix import BooleanMatrix, MatrixFormatError, parse_matrix
 from .oracle import OracleCeilingError, oracle_deadend_tests, oracle_minimal_tests
 from .pruning import bijective_column_pairs, multiplicity_seeds
 from .search import (
@@ -100,6 +100,11 @@ def _emit(args, text: str) -> None:
 
 def _columns_str(columns) -> str:
     return ",".join(str(c) for c in columns)
+
+
+def _test_str(test) -> str:
+    """A test in a listing of tests, where the empty one needs a name."""
+    return _columns_str(test) or "(empty)"
 
 
 def _estimate_lines(title: str, est) -> list[str]:
@@ -348,7 +353,7 @@ def _cmd_enumerate(args) -> int:
     ]
     for t, ok in zip(report.minimal_tests, report.deadend_verified):
         flag = "dead-end" if ok else "NOT DEAD-END"
-        lines.append(f"  {_columns_str(t)} ({flag})")
+        lines.append(f"  {_test_str(t)} ({flag})")
     for corr in report.corrections:
         lines.append(
             f"correction: {corr.old_length} -> {corr.new_length} ({corr.reason})"
@@ -425,11 +430,11 @@ def _cmd_oracle(args) -> int:
         f"minimal tests: {len(result.minimal_tests)}",
     ]
     for t in result.minimal_tests:
-        lines.append(f"  {_columns_str(t)}")
+        lines.append(f"  {_test_str(t)}")
     if result.deadend_tests is not None:
         lines.append(f"dead-end tests: {len(result.deadend_tests)}")
         for t in result.deadend_tests:
-            lines.append(f"  {_columns_str(t)}")
+            lines.append(f"  {_test_str(t)}")
     _emit(args, "\n".join(lines))
     return EXIT_OK
 

@@ -47,10 +47,6 @@ class MandatoryResult:
     columns: ColumnSet
     witnesses: dict[int, tuple[RowPair, ...]] = field(default_factory=dict)
 
-    @property
-    def count(self) -> int:
-        return len(self.columns)
-
 
 @dataclass(slots=True)
 class PartitionClass:
@@ -360,29 +356,9 @@ def _up_step(sets: int, width: int) -> int:
     return up
 
 
-def candidate_pairs(matrix: BooleanMatrix) -> tuple[RowPair, ...]:
-    """All unordered row pairs whose popcounts differ by exactly one.
-
-    Built from popcount buckets (each bucket crossed with the next one),
-    then sorted lexicographically.  Only these pairs can be at Hamming
-    distance 1.
-    """
-    buckets: dict[int, list[int]] = {}
-    for lab, row in zip(matrix.row_labels, matrix.rows):
-        buckets.setdefault(row.bit_count(), []).append(lab)
-    pairs: list[RowPair] = []
-    for r in sorted(buckets):
-        if r + 1 not in buckets:
-            continue
-        for a in buckets[r]:
-            for b in buckets[r + 1]:
-                pairs.append((a, b) if a < b else (b, a))
-    pairs.sort()
-    return tuple(pairs)
-
-
 def candidate_pair_count(matrix: BooleanMatrix) -> int:
-    """len(candidate_pairs(matrix)) without building the pairs.
+    """The number of unordered row pairs whose popcounts differ by one,
+    the only pairs that can be at Hamming distance 1.
 
     The sum over popcounts r of |B_r| * |B_(r+1)|, B_r being the rows
     with r ones.  O(m).

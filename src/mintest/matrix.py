@@ -236,11 +236,6 @@ def load_matrix(path) -> BooleanMatrix:
         return parse_matrix(fh.read())
 
 
-def row_popcounts(matrix: BooleanMatrix) -> dict[int, int]:
-    """Number of ones in each row, keyed by row label."""
-    return {lab: matrix.bits(lab).bit_count() for lab in matrix.row_labels}
-
-
 def sort_rows_by_binary_value(matrix: BooleanMatrix) -> BooleanMatrix:
     """Rows in ascending order of their value as binary numbers (col 1 = MSB).
 
@@ -251,15 +246,6 @@ def sort_rows_by_binary_value(matrix: BooleanMatrix) -> BooleanMatrix:
     pairs = sorted(zip(matrix.rows, matrix.row_labels))
     rows, labels = zip(*pairs) if pairs else ((), ())
     return BooleanMatrix._unchecked(matrix.col_count, rows, labels)
-
-
-def distinguishing_columns(matrix: BooleanMatrix, r1: int, r2: int) -> ColumnSet:
-    """Columns where two rows differ.  Never empty: rows are distinct."""
-    if r1 == r2:
-        raise ValueError("need two different row labels")
-    diff = matrix.bits(r1) ^ matrix.bits(r2)
-    n = matrix.col_count
-    return tuple(c for c in range(1, n + 1) if (diff >> (n - c)) & 1)
 
 
 def is_test(matrix: BooleanMatrix, columns: Iterable[int]) -> bool:

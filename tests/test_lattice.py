@@ -25,12 +25,12 @@ from mintest import (
     SearchConfig,
     enumerate_local_minimal_tests,
     enumerate_minimal_tests,
-    is_local_test,
     iter_subsets_colex,
 )
 from mintest.mandatory import _lattice
 from mintest.search import _colex_masks, _local_verdict
 
+from reference import is_local_test
 from test_difference_masks import class_sets
 from test_scan_kernel import SEEDED, contains_seed
 

@@ -7,11 +7,9 @@ from mintest import (
     BooleanMatrix,
     DuplicateColumnWarning,
     MatrixFormatError,
-    distinguishing_columns,
     is_test,
     pair_count,
     parse_matrix,
-    row_popcounts,
     sort_rows_by_binary_value,
 )
 
@@ -192,9 +190,13 @@ class TestParsing:
         assert q25.row_labels == tuple(range(1, 26))
 
 
+def popcounts(matrix):
+    return {lab: matrix.bits(lab).bit_count() for lab in matrix.row_labels}
+
+
 class TestPopcounts:
     def test_fixture_code_column(self, q25):
-        pops = row_popcounts(q25)
+        pops = popcounts(q25)
         assert pops[11] == 1
         assert pops[3] == 7
         assert pops[2] == 2
@@ -202,7 +204,7 @@ class TestPopcounts:
 
     def test_all_zero_row(self):
         m = parse_matrix("0000\n1111\n")
-        pops = row_popcounts(m)
+        pops = popcounts(m)
         assert pops[1] == 0
         assert pops[2] == 4
 
@@ -266,17 +268,15 @@ class TestUncheckedConstruction:
 
 
 class TestDistinguishingColumns:
+    """The columns where two rows differ: the set bits of their XOR."""
+
     def test_fixture_pairs(self, q25):
-        assert distinguishing_columns(q25, 12, 22) == (10,)
-        assert distinguishing_columns(q25, 2, 25) == (5,)
+        assert q25.bits(12) ^ q25.bits(22) == 1 << (10 - 10)
+        assert q25.bits(2) ^ q25.bits(25) == 1 << (10 - 5)
 
     def test_full_difference(self):
         m = parse_matrix("00\n11\n")
-        assert distinguishing_columns(m, 1, 2) == (1, 2)
-
-    def test_unknown_label(self, q25):
-        with pytest.raises(KeyError):
-            distinguishing_columns(q25, 1, 99)
+        assert m.bits(1) ^ m.bits(2) == 0b11
 
     def test_bits_of_unknown_label(self, q25):
         for label in (0, 26, -1):
@@ -289,10 +289,6 @@ class TestDistinguishingColumns:
             q25.bits(lab) for lab in range(1, 26)
         ]
 
-    def test_same_label_rejected(self, q25):
-        with pytest.raises(ValueError):
-            distinguishing_columns(q25, 1, 1)
-
     @settings(max_examples=60, deadline=None)
     @given(distinct_rows(7, min_size=2, max_size=6))
     def test_never_empty(self, values):
@@ -301,23 +297,14 @@ class TestDistinguishingColumns:
         for a in labels:
             for b in labels:
                 if a < b:
-                    assert distinguishing_columns(m, a, b)
-
-    @settings(max_examples=60, deadline=None)
-    @given(distinct_rows(7, min_size=2, max_size=6))
-    def test_hamming_one_iff_single_column(self, values):
-        m = matrix_from_ints(values, 7)
-        for i, a in enumerate(m.row_labels):
-            for b in m.row_labels[i + 1 :]:
-                dist = (m.bits(a) ^ m.bits(b)).bit_count()
-                assert (dist == 1) == (len(distinguishing_columns(m, a, b)) == 1)
+                    assert m.bits(a) ^ m.bits(b)
 
     def test_popcount_gap_one_not_sufficient(self):
         # popcounts 1 and 2, but Hamming distance 3
         m = parse_matrix("100\n011\n")
-        pops = row_popcounts(m)
+        pops = popcounts(m)
         assert abs(pops[1] - pops[2]) == 1
-        assert len(distinguishing_columns(m, 1, 2)) == 3
+        assert (m.bits(1) ^ m.bits(2)).bit_count() == 3
 
 
 class TestIsTest:
@@ -351,8 +338,9 @@ class TestIsTest:
     @given(distinct_rows(6, max_size=7), st.sets(st.integers(1, 6), min_size=1))
     def test_equivalent_to_pair_coverage(self, values, cols):
         m = matrix_from_ints(values, 6)
+        mask = m.column_mask(cols)
         covers = all(
-            set(cols) & set(distinguishing_columns(m, a, b))
+            mask & (m.bits(a) ^ m.bits(b))
             for i, a in enumerate(m.row_labels)
             for b in m.row_labels[i + 1 :]
         )

@@ -11,24 +11,25 @@ from mintest import (
     BooleanMatrix,
     ClassSet,
     ClassView,
-    all_k_subsets_fail,
     bijective_column_pairs,
     class_views,
     cycle_costs,
-    find_mandatory,
-    is_local_test,
     is_test,
     iter_subsets_colex,
     multiplicity_seeds,
     oracle_deadend_tests,
-    paired_view_columns,
     parse_matrix,
     partition_by_mandatory,
-    residual_pairs_lower_bound,
     seed_masks,
     sort_rows_by_binary_value,
 )
-from mintest.pruning import first_collision
+from reference import (
+    all_k_subsets_fail,
+    first_collision,
+    is_local_test,
+    residual_pairs_lower_bound,
+)
+from test_scan_kernel import paired_positions
 
 KNOWN_SEED_TRIPLES = {
     (1, 2): (10, 14, 25),
@@ -268,10 +269,6 @@ class TestResidualBound:
     def test_values(self, p, expected):
         assert residual_pairs_lower_bound(p) == expected
 
-    def test_rejects_small(self):
-        with pytest.raises(ValueError):
-            residual_pairs_lower_bound(1)
-
 
 class TestBijectiveColumns:
     def test_complement_pair(self):
@@ -315,12 +312,11 @@ class TestBijectiveColumns:
                     assert not (a in test and b in test)
 
     def test_paired_view_columns_local_form(self, m8):
-        # per-class pairing over the m8 views
-        pairs = paired_view_columns(m8)
-        for a, b in pairs:
-            ia, ib = m8.columns.index(a), m8.columns.index(b)
+        # per-class pairing over the m8 views, as the search takes it
+        w = len(m8.columns)
+        pairs = paired_positions(m8)
+        for ia, ib in pairs:
             for view in m8.classes:
-                w = len(m8.columns)
                 rel = {
                     ((r >> (w - 1 - ia)) & 1) ^ ((r >> (w - 1 - ib)) & 1)
                     for r in view.rows
@@ -390,7 +386,8 @@ def pairing_matrices(draw):
 
 
 class TestPairedColumnsDefinition:
-    """Both paired-column functions against their definitions."""
+    """The paired columns of a class set, as the search takes them, and of
+    a whole matrix against their definitions."""
 
     @settings(max_examples=300, deadline=None)
     @given(pairing_class_sets())
@@ -400,12 +397,12 @@ class TestPairedColumnsDefinition:
         def relations(view, i, j):
             return {(r >> (width - 1 - i) ^ r >> (width - 1 - j)) & 1 for r in view.rows}
 
-        want = tuple(
-            (class_set.columns[i], class_set.columns[j])
+        want = [
+            (i, j)
             for i, j in combinations(range(width), 2)
             if all(len(relations(view, i, j)) == 1 for view in class_set.classes)
-        )
-        assert paired_view_columns(class_set) == want
+        ]
+        assert paired_positions(class_set) == want
 
     @settings(max_examples=300, deadline=None)
     @given(pairing_matrices())

@@ -5,7 +5,10 @@ deliberate change to this file.  Submodules are left out: which of them
 show up as attributes depends on what else was imported first.
 """
 
+import importlib
+import re
 import types
+from pathlib import Path
 
 import mintest
 
@@ -15,12 +18,10 @@ PUBLIC = {
     "ColumnSet",
     "DuplicateColumnWarning",
     "MatrixFormatError",
-    "distinguishing_columns",
     "is_test",
     "load_matrix",
     "pair_count",
     "parse_matrix",
-    "row_popcounts",
     "sort_rows_by_binary_value",
     # mandatory
     "ClassSet",
@@ -29,7 +30,6 @@ PUBLIC = {
     "Partition",
     "PartitionClass",
     "candidate_pair_count",
-    "candidate_pairs",
     "class_views",
     "find_mandatory",
     "load_class_set",
@@ -45,15 +45,10 @@ PUBLIC = {
     # pruning
     "CycleCost",
     "IdenticalProjectionGroup",
-    "SweepResult",
-    "all_k_subsets_fail",
     "bijective_column_pairs",
     "cycle_costs",
-    "is_local_test",
     "iter_subsets_colex",
     "multiplicity_seeds",
-    "paired_view_columns",
-    "residual_pairs_lower_bound",
     "seed_masks",
     # search
     "Correction",
@@ -64,7 +59,6 @@ PUBLIC = {
     "SearchStats",
     "TestReport",
     "TestVerdict",
-    "deadend_reduce",
     "enumerate_local_minimal_tests",
     "enumerate_minimal_tests",
     "is_deadend",
@@ -96,9 +90,28 @@ PUBLIC = {
     "load_fixture_matrix",
 }
 
-# Row-scanning twins of the search's local decisions, which now reads them
-# off ClassSet.difference_masks.
-REMOVED = {"identical_projection_groups", "local_deadend", "local_deadend_reduce"}
+# Removed names, by the module that defined them.  identical_projection_groups,
+# local_deadend and local_deadend_reduce were row-scanning twins of the
+# search's local decisions, which reads them off ClassSet.difference_masks.
+# The others had no caller outside the tests, which keep references in
+# tests/reference.py or inline them.
+REMOVED = {
+    "pruning": {
+        "identical_projection_groups",
+        "SweepResult",
+        "all_k_subsets_fail",
+        "first_collision",
+        "is_local_test",
+        "paired_view_columns",
+        "residual_pairs_lower_bound",
+    },
+    "search": {"local_deadend", "local_deadend_reduce", "deadend_reduce"},
+    "matrix": {"row_popcounts", "distinguishing_columns"},
+    "mandatory": {"candidate_pairs"},
+}
+
+# The benchmark's worker calls the package as `mt.<name>`.
+WORKER = Path(__file__).resolve().parents[1] / "perfbench" / "worker.py"
 
 
 def exported():
@@ -115,5 +128,15 @@ def test_public_names_are_exactly_the_pinned_set():
 
 
 def test_removed_names_stay_removed():
-    assert not REMOVED & exported()
-    assert not any(hasattr(mintest, name) for name in REMOVED)
+    for module, names in REMOVED.items():
+        submodule = importlib.import_module(f"mintest.{module}")
+        assert not any(hasattr(mintest, name) for name in names)
+        assert not any(hasattr(submodule, name) for name in names), module
+
+
+def test_benchmark_worker_names_are_exported():
+    """Every name the benchmark's worker reads off the package; one that
+    is missing fails every benchmark run."""
+    used = set(re.findall(r"\bmt\.(\w+)", WORKER.read_text(encoding="utf-8")))
+    assert used  # the pattern still finds the calls
+    assert used <= exported()

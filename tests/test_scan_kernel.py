@@ -7,8 +7,8 @@ triple unions, or above a triple cap with the multiplicity seeds.  The
 reference here enumerates the same order with iter_subsets_colex, tests
 seeds by probing each candidate's one-smaller submasks in seed_masks,
 pairs by covering a paired-column mask, and local tests by scanning rows
-(first_collision).  Both kernels must agree with it on the tests found,
-the hit, and every counter.
+(reference.first_collision).  Both kernels must agree with it on the
+tests found, the hit, and every counter.
 """
 
 import gc
@@ -28,12 +28,12 @@ from mintest import (
     class_views,
     enumerate_minimal_tests,
     iter_subsets_colex,
-    paired_view_columns,
     partition_by_mandatory,
     seed_masks,
 )
-from mintest.pruning import first_collision
+from mintest.matrix import _paired_positions
 from mintest.search import _local_verdict, _scan_size
+from reference import first_collision
 
 from test_difference_masks import class_sets
 
@@ -41,8 +41,11 @@ from test_difference_masks import class_sets
 def reference_scan(class_set, size, seeds, pairs, stop=None):
     """(tests, hit, checked, seed_skips, pair_skips) of one pruned scan."""
     seed_set = seed_masks(class_set, size - 1) if seeds and size >= 2 else set()
+    columns = class_set.columns
     pair_masks = (
-        [class_set.mask(p) for p in paired_view_columns(class_set)] if pairs else []
+        [class_set.mask((columns[i], columns[j])) for i, j in paired_positions(class_set)]
+        if pairs
+        else []
     )
     tests = []
     checked = seed_skips = pair_skips = 0
@@ -63,9 +66,10 @@ def reference_scan(class_set, size, seeds, pairs, stop=None):
 
 
 def paired_positions(class_set):
-    """The view positions of each pair of paired_view_columns."""
-    position = class_set.columns.index
-    return [(position(a), position(b)) for a, b in paired_view_columns(class_set)]
+    """The view positions of each paired column pair, from the call the
+    search makes; test_pruning's TestPairedColumnsDefinition checks it
+    against the definition."""
+    return _paired_positions([v.rows for v in class_set.classes], len(class_set.columns))
 
 
 def kernel_scan(class_set, size, seeds, pairs, stop=None):

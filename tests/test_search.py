@@ -16,7 +16,6 @@ from mintest import (
     SearchCeilingError,
     SearchConfig,
     SearchStats,
-    deadend_reduce,
     enumerate_local_minimal_tests,
     enumerate_minimal_tests,
     find_mandatory,
@@ -36,18 +35,18 @@ class TestIsDeadend:
         check = is_deadend(q25, Q25_FULL_TEST)
         assert check.ok
         assert check.redundant is None
-        assert check.witness_for(6) == (10, 25)
-        assert check.witness_for(1) == (7, 19)
+        witnesses = dict(check.witnesses)
+        assert witnesses[6] == (10, 25)
+        assert witnesses[1] == (7, 19)
         assert len(check.witnesses) == 7
 
     def test_witness_property(self, q25):
         # each witness pair is separated by its column and nothing else in T
-        from mintest import distinguishing_columns
-
+        mask = q25.column_mask(Q25_FULL_TEST)
         check = is_deadend(q25, Q25_FULL_TEST)
         for col, (a, b) in check.witnesses:
-            cols = set(distinguishing_columns(q25, a, b))
-            assert cols & set(Q25_FULL_TEST) == {col}
+            diff = q25.bits(a) ^ q25.bits(b)
+            assert diff & mask == q25.column_mask((col,))
 
     def test_trivial_matrix(self, tiny3x2):
         check = is_deadend(tiny3x2, (1, 2))
@@ -76,9 +75,14 @@ class TestIsDeadend:
                     assert not is_deadend(m, t + (others[0],)).ok
 
 
+def deadend_reduce(matrix, columns):
+    """Strip redundant columns, highest first, by the rule of the search."""
+    return mintest.search._reduce(lambda c: is_deadend(matrix, c).redundant, columns)
+
+
 class TestDeadendReduce:
     def test_full_columns_fixture(self, q25):
-        reduced = deadend_reduce(q25, range(1, 11))
+        reduced = deadend_reduce(q25, tuple(range(1, 11)))
         assert set((5, 8, 10)) <= set(reduced)
         assert is_deadend(q25, reduced).ok
 
@@ -91,7 +95,7 @@ class TestDeadendReduce:
     def test_reduction_yields_oracle_deadend(self):
         for seed in range(10):
             m = random_matrix(seed, rows=8, cols=6)
-            reduced = deadend_reduce(m, range(1, 7))
+            reduced = deadend_reduce(m, tuple(range(1, 7)))
             oracle = oracle_deadend_tests(m)
             assert reduced in oracle.deadend_tests
 
@@ -283,7 +287,8 @@ class TestLocalEnumeration:
         assert report.parent_pair_total == 1225
 
     def test_m8_failing_pairs(self, m8):
-        from mintest import is_local_test, iter_subsets_colex
+        from mintest import iter_subsets_colex
+        from reference import is_local_test
 
         failing = [
             p for p in iter_subsets_colex(m8.columns, 2) if not is_local_test(m8, p)
