@@ -19,8 +19,6 @@ from .matrix import (
     sort_rows_by_binary_value,
 )
 from .mandatory import (
-    ClassSet,
-    ClassView,
     MandatoryResult,
     Partition,
     PartitionClass,
@@ -40,6 +38,8 @@ from .heuristic import (
     union_pair_stats,
 )
 from .pruning import (
+    ClassSet,
+    ClassView,
     CycleCost,
     IdenticalProjectionGroup,
     bijective_column_pairs,

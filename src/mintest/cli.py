@@ -27,7 +27,6 @@ from .fixtures import UnknownFixtureError, fixture_text, list_fixtures
 from .generate import GenerationError, GeneratorConfig, generate_matrix
 from .heuristic import column_pair_stats, estimate_length, union_pair_stats
 from .mandatory import (
-    ClassSet,
     candidate_pair_count,
     class_views,
     find_mandatory,
@@ -36,7 +35,7 @@ from .mandatory import (
 )
 from .matrix import BooleanMatrix, MatrixFormatError, parse_matrix
 from .oracle import OracleCeilingError, oracle_deadend_tests, oracle_minimal_tests
-from .pruning import bijective_column_pairs, multiplicity_seeds
+from .pruning import ClassSet, bijective_column_pairs, multiplicity_seeds
 from .search import (
     SearchCeilingError,
     SearchConfig,

@@ -25,7 +25,7 @@ from operator import mul
 from typing import Sequence
 
 from .matrix import BooleanMatrix, ColumnSet, pair_count
-from .mandatory import ClassSet
+from .pruning import ClassSet
 
 
 @dataclass(slots=True)

@@ -23,10 +23,8 @@ import sys
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import chain
-from math import comb
-from typing import Iterable, TypeVar
+from typing import Iterable
 
 from .matrix import (
     BooleanMatrix,
@@ -36,8 +34,7 @@ from .matrix import (
     normalize_columns,
     pair_count,
 )
-
-_Marks = TypeVar("_Marks", dict[int, int], bytearray)
+from .pruning import ClassSet, ClassView
 
 
 @dataclass(slots=True)
@@ -91,269 +88,6 @@ class Partition:
     def within_pair_total(self) -> int:
         """Row pairs left to distinguish after the class decomposition."""
         return sum(pair_count(c.size) for c in self.classes)
-
-
-@dataclass(slots=True)
-class ClassView:
-    """One class projected onto the view columns, rows bit-packed."""
-
-    name: str
-    key: tuple[int, ...]
-    row_labels: tuple[int, ...]
-    rows: tuple[int, ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.rows)
-
-
-@dataclass(frozen=True)
-class ClassSet:
-    """A family of row classes over a common set of original column labels.
-
-    This is the object the subset search actually runs on: a column set
-    T (given by original labels) is a *local test* when inside every class
-    the projections onto T are pairwise distinct.  When the classes come
-    from a partition by mandatory columns, mandatory+local is a test of
-    the whole matrix.
-    """
-
-    columns: ColumnSet
-    classes: tuple[ClassView, ...]
-    mandatory: ColumnSet = ()
-    total_rows: int | None = None
-
-    @cached_property
-    def bit_of(self) -> dict[int, int]:
-        """Original column label -> its bit in the packed view rows."""
-        width = len(self.columns)
-        return {c: 1 << (width - 1 - pos) for pos, c in enumerate(self.columns)}
-
-    def _mark_differences(self, out: _Marks) -> _Marks:
-        """Set out[a ^ b] = 1 for each row pair a, b inside a class, in a
-        digit array of the subset lattice or a dict of mask candidates."""
-        for view in self.classes:
-            rows = view.rows
-            for i, row in enumerate(rows, 1):
-                for other in rows[i:]:
-                    out[row ^ other] = 1
-        return out
-
-    @cached_property
-    def difference_masks(self) -> tuple[int, ...]:
-        """The inclusion-minimal row differences a ^ b inside the classes.
-
-        Two rows of one class collide on a column set exactly when its
-        mask misses their difference, and every difference contains a
-        minimal one, so a column set is a local test iff its mask meets
-        every mask here.  Masks are ordered fewest bits first, ties by
-        value.  They are nonzero unless two rows of a class project
-        identically onto the view (then the only mask is 0 and nothing is
-        a test).  The build marks O(sum of C(p,2)) XORs over classes of p
-        rows as dict keys, then runs the filter of _minimal_masks on them.
-        """
-        return _minimal_masks(self._mark_differences({}), len(self.columns))
-
-    @cached_property
-    def difference_positions(self) -> tuple[tuple[int, ...], ...]:
-        """The view positions each difference mask holds, mask by mask."""
-        return tuple(map(self.positions, self.difference_masks))
-
-    @cached_property
-    def triple_count(self) -> int:
-        """Row triples inside the classes: sum of C(p,3) over classes of
-        p rows, the size of the triple_masks build."""
-        return sum(comb(view.size, 3) for view in self.classes)
-
-    def _mark_triple_unions(self, out: _Marks) -> _Marks:
-        """Set out[(a ^ b) | (a ^ c)] = 1 for each row triple a, b, c of a
-        class in row order, as _mark_differences; the last two start none."""
-        for view in self.classes:
-            rows = view.rows
-            for i, row in enumerate(rows[:-2], 1):
-                diffs = [row ^ other for other in rows[i:]]
-                for j, diff in enumerate(diffs[:-1], 1):
-                    for other in diffs[j:]:
-                        out[diff | other] = 1
-        return out
-
-    @cached_property
-    def triple_masks(self) -> tuple[int, ...]:
-        """The inclusion-minimal masks (a ^ b) | (a ^ c) over the row
-        triples inside the classes, ordered as difference_masks.
-
-        Three rows agree on a column set exactly when it misses their
-        mask, so a set of k columns contains a (k-1)-subset projecting
-        three rows of a class onto one value (a multiplicity seed) iff it
-        meets some mask here at most once; a smaller mask is met no more
-        often, so the minimal ones decide.  Empty when no class has three
-        rows.  The build marks triple_count ORs as dict keys.
-        """
-        return _minimal_masks(self._mark_triple_unions({}), len(self.columns))
-
-    @cached_property
-    def triple_positions(self) -> tuple[tuple[int, ...], ...]:
-        """The view positions each triple mask holds, mask by mask."""
-        return tuple(map(self.positions, self.triple_masks))
-
-    @cached_property
-    def non_tests(self) -> int:
-        """The column subsets that are not local tests, on the subset
-        lattice of the view (see _lattice): bit x is set iff the subset
-        with view mask x misses some within-class difference, that is
-        lies inside its complement.  Each difference marks its byte of a
-        digit array of 2^w bytes, read as the bit of its complement; then
-        the downward closure, with no minimal-mask filter.
-        """
-        width = len(self.columns)
-        digits = self._mark_differences(bytearray(1 << width))
-        return _down_closure(_complemented(digits), width)
-
-    @cached_property
-    def non_test_bytes(self) -> bytes:
-        """non_tests as little-endian bytes: bit x is bit x & 7 of byte
-        x >> 3, read without the shift of 2^w bits that non_tests >> x
-        takes."""
-        return self.non_tests.to_bytes((1 << len(self.columns)) + 7 >> 3, "little")
-
-    @cached_property
-    def seed_up(self) -> int:
-        """The column subsets that contain a multiplicity seed one column
-        smaller, on the subset lattice of the view: the seeds are the
-        downward closure of the complemented triple unions (three rows
-        agree on a set iff it misses their union), and one up-step adds a
-        column to each.  The unions mark a digit array as in non_tests.
-        """
-        width = len(self.columns)
-        digits = self._mark_triple_unions(bytearray(1 << width))
-        return _up_step(_down_closure(_complemented(digits), width), width)
-
-    def positions(self, mask: int) -> tuple[int, ...]:
-        """The view positions (0 for the first view column) of a mask, in
-        order: one step per set bit, highest first."""
-        width = len(self.columns)
-        out = []
-        while mask:
-            top = mask.bit_length()
-            out.append(width - top)
-            mask ^= 1 << top - 1
-        # From a list: tuple() of an iterator allocates ten slots and
-        # shrinks, so each tuple freed later would land in the free list
-        # of its final size and stay there, raising peak memory.
-        return tuple(out)
-
-    def mask(self, columns: Iterable[int]) -> int:
-        """Bit mask of view positions for a set of original column labels."""
-        bits = self.bit_of
-        mask = 0
-        for c in columns:
-            bit = bits.get(c)
-            if bit is None:
-                raise ValueError(f"column {c} is not part of this view")
-            mask |= bit
-        return mask
-
-    @property
-    def within_pair_total(self) -> int:
-        return sum(pair_count(c.size) for c in self.classes)
-
-    @property
-    def parent_pair_total(self) -> int | None:
-        return pair_count(self.total_rows) if self.total_rows else None
-
-
-def _minimal_masks(candidates: Iterable[int], width: int) -> tuple[int, ...]:
-    """The inclusion-minimal masks among the width-bit candidates.
-
-    Candidates are taken fewest bits first, ties by value, which is the
-    order of the result.  A candidate is dropped iff some kept mask lies
-    inside it, that is has no bit outside it.  For each bit, one int with
-    a bit per kept mask marks the kept masks holding it; ORing those over
-    the candidate's clear bits then misses that mask.  Each candidate
-    costs one OR per clear bit, and each kept mask one step per set bit.
-    """
-    full = (1 << width) - 1
-    hits = {1 << b: 0 for b in range(width)}
-    kept: list[int] = []
-    every = 0  # one bit per kept mask
-    for cand in sorted(sorted(candidates), key=int.bit_count):
-        outside = 0
-        clear = full ^ cand
-        while clear:
-            low = clear & -clear
-            outside |= hits[low]
-            clear ^= low
-        if outside != every:
-            continue
-        flag = 1 << len(kept)
-        kept.append(cand)
-        every |= flag
-        rest = cand
-        while rest:
-            low = rest & -rest
-            hits[low] |= flag
-            rest ^= low
-    return tuple(kept)
-
-
-_LATTICES: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
-
-
-def _lattice(width: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The subset lattice of width bits as ints of 2^width bits, bit x
-    standing for the subset with mask x: the pair (holding, layers), where
-    holding[b] marks the subsets holding bit b and layers[k] the
-    k-subsets.  Built once per width and kept: 2 * width + 1 ints.
-
-    holding[b] repeats 2^b clear bits then 2^b set ones, built by
-    doubling the pattern; layers[k] grows one bit at a time, the sets
-    holding the new top bit being those of one size less shifted past the
-    ones without it.
-    """
-    if width in _LATTICES:
-        return _LATTICES[width]
-    size = 1 << width
-    holding = []
-    for b in range(width):
-        span = 1 << b
-        pattern = ((1 << span) - 1) << span
-        span <<= 1
-        while span < size:
-            pattern |= pattern << span
-            span <<= 1
-        holding.append(pattern)
-    layers = [1]
-    for b in range(width):
-        layers = [
-            low | high << (1 << b) for low, high in zip(layers + [0], [0] + layers)
-        ]
-    tables = _LATTICES[width] = (tuple(holding), tuple(layers))
-    return tables
-
-
-_DIGITS = bytes.maketrans(b"\0\1", b"01")
-
-
-def _complemented(digits: bytearray) -> int:
-    """The lattice int of a digit array (digits[x] = 1 marks mask x): digit
-    x of a binary numeral of 2^width digits is the bit of x's complement."""
-    return int(digits.translate(_DIGITS), 2)
-
-
-def _down_closure(sets: int, width: int) -> int:
-    """Every subset of a set in sets: one shift-OR per bit, the fast zeta
-    (subset-sum) transform of Yates (1937) done on bits."""
-    for b, hold in enumerate(_lattice(width)[0]):
-        sets |= (sets & hold) >> (1 << b)
-    return sets
-
-
-def _up_step(sets: int, width: int) -> int:
-    """Every set made of a set in sets plus one bit it lacks."""
-    up = 0
-    for b, hold in enumerate(_lattice(width)[0]):
-        up |= (sets & ~hold) << (1 << b)
-    return up
 
 
 def candidate_pair_count(matrix: BooleanMatrix) -> int:
@@ -528,7 +262,9 @@ def parse_class_set(text: str) -> ClassSet:
         ...
 
     ``columns`` gives the original 1-based labels of the view columns;
-    each row line is ``<label>: <bits>`` over those columns.  ``mandatory``
+    a class starts at a line of the word ``class``, whitespace and its
+    key bits (none without mandatory columns), and each of its row lines
+    is ``<label>: <bits>`` over the view columns.  ``mandatory``
     and ``parent-rows`` are optional context about the parent matrix.
     Labels in ``columns`` (at least one) and ``mandatory`` are distinct
     positive integers, and no mandatory label is also a view column.  Row
@@ -581,9 +317,9 @@ def parse_class_set(text: str) -> ClassSet:
         elif line.startswith("parent-rows:"):
             total_rows = _positive_int(lineno, "'parent-rows:'", line.split(":", 1)[1])
             total_rows_line = lineno
-        elif line.startswith("class"):
+        elif line.split()[0] == "class":
             flush()
-            key_text = line.split(None, 1)[1] if " " in line else ""
+            key_text = line[len("class") :].lstrip()
             if set(key_text) - {"0", "1"}:
                 raise MatrixFormatError(f"line {lineno}: bad class key {key_text!r}")
             current_key = tuple(int(b) for b in key_text)

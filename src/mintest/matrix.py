@@ -183,7 +183,7 @@ def parse_matrix(text: str) -> BooleanMatrix:
         or len(set(lines)) != len(lines)
     ):
         raise _format_error(text)
-    # from a list, for the reason given in mandatory.ClassSet.positions
+    # from a list, for the reason given in pruning.ClassSet.positions
     rows = list(map(int, lines, repeat(2)))
     width = len(lines[0])
     matrix = BooleanMatrix._unchecked(width, tuple(rows), tuple(range(1, len(rows) + 1)))

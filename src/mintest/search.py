@@ -27,31 +27,9 @@ happened the jump target comes from the unpruned rescan, so every pruning
 configuration walks the same sequence of sizes and reports identical
 results.  Each dead-end verdict is computed once per search.
 
-Every local decision reads off two facts.  A subset is a local test iff
-it meets every within-class row difference, and a column of a test is
-redundant iff the test without it is still a test (_local_verdict, the
-one local dead-end verdict).  A subset contains a multiplicity seed iff
-it meets some row-triple union at most once; above _TRIPLE_MASK_CAP row
-triples the seeds of the scanned size are listed instead.  Every subset
-scan is one call of _scan_size, which decides all candidates of a size
-at once with big-int operations, on one of two kernels:
-
-* On a view of at most _LATTICE_WIDTH columns, the subset lattice: bit x
-  of a 2^w-bit int stands for the subset with view mask x.  The non-tests
-  (ClassSet.non_tests) and the sets holding a seed one column smaller
-  (ClassSet.seed_up) are each one such int, so a size is its layer ANDed
-  with them and every counter is a popcount.  Scan order is by least
-  set bit, highest first, then by mask, larger first: the tests decode
-  by bit_length, and a stop at mask x of least bit j cuts the counters
-  at the subsets with no bit below j, less those holding bit j below x.
-  A verdict is one bit test per column.
-* On a wider view, rank sets: the candidates are numbered in scan order,
-  each view position keeps the ranks of those holding it as one big int
-  (_rank_sets), in blocks of at most _BLOCK ranks (_blocks), and each
-  inclusion-minimal difference and triple mask (ClassSet.difference_masks,
-  ClassSet.triple_masks) costs a fixed number of operations; a stop cuts
-  the counters at the rank of its test.
-
+Every subset scan is one call of pruning._scan_size, which decides all
+candidates of a size at once, and every local dead-end verdict is one
+call of pruning._local_verdict; pruning describes both scan kernels.
 No rows are indexed during the scan or the correction loop.  Witness
 pairs are found only on the full matrix: is_deadend certifies every
 reported test with one.
@@ -60,9 +38,8 @@ reported test with one.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from functools import cache, lru_cache, partial
-from math import comb
-from typing import Callable, Iterable, Iterator, Sequence
+from functools import cache, partial
+from typing import Callable, Iterable
 
 from .heuristic import (
     HeuristicEstimate,
@@ -71,16 +48,7 @@ from .heuristic import (
     integral_length,
     union_pair_stats,
 )
-from .mandatory import (
-    ClassSet,
-    Partition,
-    _complemented,
-    _lattice,
-    _up_step,
-    class_views,
-    find_mandatory,
-    partition_by_mandatory,
-)
+from .mandatory import Partition, class_views, find_mandatory, partition_by_mandatory
 from .matrix import (
     BooleanMatrix,
     ColumnSet,
@@ -90,7 +58,7 @@ from .matrix import (
     normalize_columns,
 )
 from .oracle import OracleCeilingError, oracle_minimal_tests
-from .pruning import CycleCost, cycle_costs, seed_masks
+from .pruning import ClassSet, CycleCost, _local_verdict, _scan_size, cycle_costs
 
 
 class SearchCeilingError(RuntimeError):
@@ -277,310 +245,6 @@ def verify_test(
 
 # ---------------------------------------------------------------------------
 # local machinery on class sets
-
-
-def _local_verdict(class_set: ClassSet, columns: ColumnSet) -> int | None:
-    """Dead-end verdict of a local test inside the class structure: its
-    highest-indexed redundant column, or None when it is dead-end.
-
-    Column c separates a pair alone iff the pair's difference meets the
-    test in c only.  A minimal difference inside it meets the test in a
-    nonempty part of that, so c separates some pair alone iff c's bit is
-    one of the test's intersections with the minimal differences.  On a
-    view of at most _LATTICE_WIDTH columns it is one bit test per
-    column: c is redundant iff the test without c is still a test, that
-    is no bit of ClassSet.non_tests, read in ClassSet.non_test_bytes.
-    The columns must already be a local test.
-    """
-    mask = class_set.mask(columns)
-    bit_of = class_set.bit_of
-    if len(class_set.columns) <= _LATTICE_WIDTH:
-        non_tests = class_set.non_test_bytes
-        redundant = None
-        for c in columns:
-            x = mask ^ bit_of[c]
-            if not non_tests[x >> 3] >> (x & 7) & 1:
-                redundant = c if redundant is None else max(redundant, c)
-    else:
-        private = set(map(mask.__and__, class_set.difference_masks))
-        redundant = max((c for c in columns if bit_of[c] not in private), default=None)
-    return redundant
-
-
-# Above this many row triples in a class set, the seed test reads its
-# masks off the multiplicity seeds of each scanned size instead of the
-# class set's triple masks.  One class of 230 rows passes it; below that
-# the triple masks are the faster seed source on both kernels, and one
-# 500-row class (2*10^7 triples) still falls back.
-_TRIPLE_MASK_CAP = 2_000_000
-
-# A class set of at most this many view columns is scanned on its subset
-# lattice, one int of 2^width bits per set family (128 KB at the cap).
-_LATTICE_WIDTH = 20
-
-
-@dataclass(slots=True)
-class _Scan:
-    tests: list[ColumnSet]
-    hit: ColumnSet | None = None
-    checked: int = 0
-    seed_skips: int = 0
-    pair_skips: int = 0
-
-
-# A scan over more subsets than this splits into contiguous rank blocks, so
-# no rank set holds more than _BLOCK bits.
-_BLOCK = 1 << 15
-
-
-@lru_cache(maxsize=256)
-def _rank_sets(width: int, size: int, lex: bool) -> tuple[int, ...]:
-    """Per position of range(width), the ranks of the size-subsets that
-    hold it, as a bit set: the subsets numbered in scan order (that of
-    iter_subsets_colex: by largest position, then lexicographically), or in
-    lexicographic order (that of combinations) with lex.
-
-    In scan order the subsets of range(width - 1) come first, then those
-    holding the last position, their other positions in lexicographic
-    order; in lexicographic order those holding position 0 come first.
-    So both build on width - 1.  The cache holds at most 256 tables of
-    width ints of at most _BLOCK bits each.
-    """
-    if not 0 < size <= width:
-        return (0,) * width
-    if lex:
-        head = comb(width - 1, size - 1)
-        with_first = _rank_sets(width - 1, size - 1, True)
-        without = _rank_sets(width - 1, size, True)
-        return ((1 << head) - 1,) + tuple(
-            a | b << head for a, b in zip(with_first, without)
-        )
-    below = comb(width - 1, size)
-    with_last = (1 << comb(width - 1, size - 1)) - 1
-    return tuple(
-        a | b << below
-        for a, b in zip(
-            _rank_sets(width - 1, size, False), _rank_sets(width - 1, size - 1, True)
-        )
-    ) + (with_last << below,)
-
-
-def _blocks(width: int, size: int) -> Iterator[tuple[Sequence[int], int]]:
-    """The size-subsets of range(width) in scan order, as contiguous
-    blocks of at most _BLOCK ranks: per block the rank set of each
-    position, ranks counted from the block's start, and the set of all
-    its ranks.  A larger scan splits by largest position, then by
-    smallest position, and a position every subset of a block holds has
-    every rank of it."""
-    count = comb(width, size)
-    if count <= _BLOCK:
-        yield _rank_sets(width, size, False), (1 << count) - 1
-        return
-    for last in range(size - 1, width):
-        yield from _lex_blocks(width, (last,), 0, last, size - 1)
-
-
-def _lex_blocks(
-    width: int, fixed: tuple[int, ...], start: int, end: int, need: int
-) -> Iterator[tuple[Sequence[int], int]]:
-    """Blocks of the subsets made of the fixed positions and need more
-    positions from start to end - 1, the latter in lexicographic order."""
-    count = comb(end - start, need)
-    if count > _BLOCK:
-        yield from _lex_blocks(width, fixed + (start,), start + 1, end, need - 1)
-        yield from _lex_blocks(width, fixed, start + 1, end, need)
-        return
-    every = (1 << count) - 1
-    sets = [0] * width
-    for pos in fixed:
-        sets[pos] = every
-    sets[start:end] = _rank_sets(end - start, need, True)
-    yield sets, every
-
-
-def _scan_size(
-    class_set: ClassSet,
-    size: int,
-    seeds: bool,
-    pairs: Sequence[tuple[int, int]] | None,
-    stop: Callable[[ColumnSet], bool] | None = None,
-    *,
-    count_all: bool = False,
-) -> _Scan:
-    """Local tests of the given size, in the order of iter_subsets_colex,
-    under pruning.
-
-    A candidate holding both columns of a paired pair (pairs: the view
-    positions of the paired columns, pair by pair) is skipped; with seeds
-    and size >= 2 one containing a multiplicity seed is a proven non-test
-    and skipped; every other candidate is checked.  Only the paired-column
-    skips may hide tests, and only non-dead-end ones.  The scan ends at
-    the first test for which stop is true and returns it as hit.  The
-    size-L enumeration, the (L-1) refutation sweep and the unpruned rescan
-    for a jump target all run here.  The counters are popcounts, cut at
-    the test the stop fired on; with count_all they cover the whole size,
-    and only the list of tests ends at the hit.
-
-    A view of at most _LATTICE_WIDTH columns is scanned on its subset
-    lattice (_lattice_scan), a wider one over rank sets (_rank_scan);
-    both give the same tests, hit and counters.  The cut follows scan
-    order.  Over rank sets it is the ranks up to the hit.  On the
-    lattice the subsets come by least set bit, highest first, then by
-    mask, larger first; so a hit at mask x of least bit j cuts at the
-    subsets with no bit below j, less those holding bit j below x.
-    """
-    width = len(class_set.columns)
-    if not 0 <= size <= width:
-        return _Scan([])
-    scan = _lattice_scan if width <= _LATTICE_WIDTH else _rank_scan
-    return scan(class_set, size, seeds, pairs, stop, count_all)
-
-
-def _lattice_scan(
-    class_set: ClassSet,
-    size: int,
-    seeds: bool,
-    pairs: Sequence[tuple[int, int]] | None,
-    stop: Callable[[ColumnSet], bool] | None,
-    count_all: bool,
-) -> _Scan:
-    """_scan_size on the subset lattice (mandatory._lattice): the
-    candidates are the size layer, the paired ones hold both bits of a
-    pair, the seeded ones lie in ClassSet.seed_up (above _TRIPLE_MASK_CAP
-    triples, one up-step from the (k-1)-seeds) and the tests lie outside
-    ClassSet.non_tests.  The tests decode by _colex_masks, and the cut
-    is read off holding at the hit."""
-    columns = class_set.columns
-    width = len(columns)
-    holding, layers = _lattice(width)
-    every = layers[size]
-    paired = 0
-    for a, b in pairs or ():
-        paired |= holding[width - 1 - a] & holding[width - 1 - b]
-    paired &= every
-    free = clean = every ^ paired
-    if seeds and size >= 2:
-        if class_set.triple_count <= _TRIPLE_MASK_CAP:
-            clean &= ~class_set.seed_up
-        else:
-            full = (1 << width) - 1  # complemented twice: a bit per seed
-            digits = bytearray(1 << width)
-            for seed in seed_masks(class_set, size - 1):
-                digits[full ^ seed] = 1
-            clean &= ~_up_step(_complemented(digits), width)
-    tests = clean & ~class_set.non_tests
-    scan = _Scan([])
-    cut = every
-    bit_of = class_set.bit_of
-    for x in _colex_masks(tests, holding):
-        # from a list, for the reason given in ClassSet.positions
-        subset = tuple([c for c in columns if x & bit_of[c]])
-        scan.tests.append(subset)
-        if stop is not None and stop(subset):
-            scan.hit = subset
-            if x and not count_all:  # the empty set is its whole size
-                j = (x & -x).bit_length() - 1
-                for hold in holding[:j]:
-                    cut &= ~hold
-                cut ^= cut & holding[j] & (1 << x) - 1
-            break
-    scan.checked = (clean & cut).bit_count()
-    scan.seed_skips = ((free ^ clean) & cut).bit_count()
-    scan.pair_skips = (paired & cut).bit_count()
-    return scan
-
-
-def _colex_masks(sets: int, holding: Sequence[int]) -> Iterator[int]:
-    """The masks of a lattice int of one size in the order of
-    iter_subsets_colex: by least set bit, highest first, then larger
-    masks first; the empty set, the only subset of size 0, last.  The
-    sets split by least set bit: the members holding bit 0, then those
-    left holding bit 1, and so on, each group XORed out of sets."""
-    groups = []
-    for hold in holding:
-        groups.append(sets & hold)
-        sets ^= groups[-1]
-    for group in reversed(groups):
-        while group:
-            x = group.bit_length() - 1
-            yield x
-            group ^= 1 << x
-    if sets:
-        yield 0
-
-
-def _rank_scan(
-    class_set: ClassSet,
-    size: int,
-    seeds: bool,
-    pairs: Sequence[tuple[int, int]] | None,
-    stop: Callable[[ColumnSet], bool] | None,
-    count_all: bool,
-) -> _Scan:
-    """_scan_size over the rank sets of the view positions (_blocks), a
-    fixed number of big-int operations per mask rather than per candidate.
-
-    The paired candidates are those holding both columns of a pair, the
-    seed-free ones meet every seed-test mask twice (the triple masks, or
-    above _TRIPLE_MASK_CAP triples the view complements of the
-    (k-1)-seeds: a k-set contains a (k-1)-set S iff it meets ~S at most
-    once), and the tests meet every difference mask.  A k-subset of w
-    positions meets every mask of more than w-k positions, and twice every
-    one of more than w-k+1, so those masks are skipped.
-    """
-    columns = class_set.columns
-    width = len(columns)
-    scan = _Scan([])
-    triples: Iterable[tuple[int, ...]] = ()
-    if seeds and size >= 2:
-        if class_set.triple_count <= _TRIPLE_MASK_CAP:
-            triples = class_set.triple_positions
-        else:
-            full = (1 << width) - 1
-            triples = [
-                class_set.positions(full ^ seed)
-                for seed in seed_masks(class_set, size - 1)
-            ]
-    differences = class_set.difference_positions
-    for sets, every in _blocks(width, size):
-        paired = 0
-        for a, b in pairs or ():
-            paired |= sets[a] & sets[b]
-        free = clean = every ^ paired
-        for positions in triples:
-            if len(positions) > width - size + 1 or not clean:
-                break
-            once = twice = 0
-            for pos in positions:
-                twice |= once & sets[pos]
-                once |= sets[pos]
-            clean &= twice
-        tests = clean if scan.hit is None else 0
-        for positions in differences:
-            if len(positions) > width - size or not tests:
-                break
-            hit = 0
-            for pos in positions:
-                hit |= sets[pos]
-            tests &= hit
-        cut = every
-        while tests:
-            low = tests & -tests
-            # from a list, for the reason given in ClassSet.positions
-            subset = tuple([c for c, s in zip(columns, sets) if s & low])
-            scan.tests.append(subset)
-            if stop is not None and stop(subset):
-                scan.hit = subset
-                if not count_all:
-                    cut = (low << 1) - 1
-                break
-            tests ^= low
-        scan.checked += (clean & cut).bit_count()
-        scan.seed_skips += ((free ^ clean) & cut).bit_count()
-        scan.pair_skips += (paired & cut).bit_count()
-        if scan.hit is not None and not count_all:
-            break
-    return scan
 
 
 def _search_local(

@@ -1,5 +1,8 @@
+from contextlib import contextmanager
+
 import pytest
 
+import mintest.pruning as pruning
 from mintest import (
     BooleanMatrix,
     GeneratorConfig,
@@ -56,3 +59,20 @@ def random_matrix(seed, rows=8, cols=6, density=0.5):
     return generate_matrix(
         GeneratorConfig(rows=rows, cols=cols, ones_density=density, seed=seed)
     )
+
+
+@contextmanager
+def kernel_caps(**caps):
+    """Set the subset scan's caps on mintest.pruning (_LATTICE_WIDTH,
+    _TRIPLE_MASK_CAP, _BLOCK) for a with block, for tests that cannot
+    take monkeypatch.  A name pruning does not define raises
+    AttributeError, so a moved or renamed cap cannot turn the forcing
+    into a no-op."""
+    saved = {name: getattr(pruning, name) for name in caps}
+    try:
+        for name, value in caps.items():
+            setattr(pruning, name, value)
+        yield
+    finally:
+        for name, value in saved.items():
+            setattr(pruning, name, value)

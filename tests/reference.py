@@ -1,6 +1,6 @@
 """Row-level references the tests check the library against.
 
-The library decides every subset in bulk (search._scan_size) and names a
+The library decides every subset in bulk (pruning._scan_size) and names a
 colliding row pair only where it certifies a test (is_deadend).  The
 plain forms here scan rows one subset at a time, so that those decisions
 can be compared with their definitions.

@@ -520,13 +520,17 @@ class TestNegativeFlags:
         assert "minimal: unknown" in out
 
 
+def readme_block(marker):
+    """The first text block of the README after the marker."""
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    return text.split(marker, 1)[1].split("```text\n", 1)[1].split("```", 1)[0]
+
+
 def readme_usage_entries():
     """The CLI usage block of the README, one string per subcommand with
     its continuation lines joined."""
-    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
-    block = text.split("## CLI\n", 1)[1].split("```text\n", 1)[1].split("```", 1)[0]
     entries: dict[str, str] = {}
-    for line in block.splitlines():
+    for line in readme_block("## CLI\n").splitlines():
         if line.startswith("mintest "):
             command = line.split()[1]
             entries[command] = line
@@ -550,6 +554,18 @@ def test_readme_usage_block_lists_every_option(capsys):
         shown = set(LONG_OPTION.findall(capsys.readouterr().out)) - {"--help"}
         listed = set(LONG_OPTION.findall(entries[command]))
         assert sorted(shown - listed) == [], command
+
+
+def test_readme_class_set_example_parses(m8):
+    """The README's class-set example is the first two classes of the
+    m8_local fixture."""
+    cs = mintest.parse_class_set(readme_block("**Class-set file**"))
+    assert (cs.columns, cs.mandatory, cs.total_rows) == (
+        m8.columns,
+        m8.mandatory,
+        m8.total_rows,
+    )
+    assert cs.classes == m8.classes[:2]
 
 
 def test_python_dash_m_runs_the_cli():

@@ -15,7 +15,7 @@ from itertools import combinations
 
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_matrix
+from conftest import kernel_caps, random_matrix
 
 from mintest import (
     BooleanMatrix,
@@ -31,8 +31,7 @@ from mintest import (
     partition_by_mandatory,
     sort_rows_by_binary_value,
 )
-import mintest.search as search
-from mintest.search import _local_verdict
+from mintest.pruning import _local_verdict
 from reference import candidate_pairs, is_local_test
 
 
@@ -91,13 +90,9 @@ def reference_local_deadend(class_set, columns):
 def local_verdicts(class_set, columns):
     """_local_verdict on the subset lattice, then with the lattice cap
     forced to 0 (the minimal-difference form)."""
-    width = search._LATTICE_WIDTH
-    try:
-        verdicts = [_local_verdict(class_set, columns)]
-        search._LATTICE_WIDTH = 0
+    verdicts = [_local_verdict(class_set, columns)]
+    with kernel_caps(_LATTICE_WIDTH=0):
         verdicts.append(_local_verdict(class_set, columns))
-    finally:
-        search._LATTICE_WIDTH = width
     return verdicts
 
 

@@ -1,11 +1,11 @@
 """The subset-lattice path of the search against its definitions and
 against the rank-set kernel.
 
-On a view of w <= search._LATTICE_WIDTH columns, bit x of a 2^w-bit int
-stands for the column subset with view mask x.  mandatory._lattice holds
+On a view of w <= pruning._LATTICE_WIDTH columns, bit x of a 2^w-bit int
+stands for the column subset with view mask x.  pruning._lattice holds
 the per-width tables; ClassSet.non_tests and ClassSet.seed_up are the
 set families the scan and the dead-end verdict read.  Forcing
-search._LATTICE_WIDTH = 0 sends every class set to the rank-set kernel,
+pruning._LATTICE_WIDTH = 0 sends every class set to the rank-set kernel,
 which must give byte-identical reports.
 """
 
@@ -17,8 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import random_matrix
 
-import mintest.mandatory as mandatory
-import mintest.search as search
+import mintest.pruning as pruning
 from mintest import (
     ClassSet,
     ClassView,
@@ -27,8 +26,7 @@ from mintest import (
     enumerate_minimal_tests,
     iter_subsets_colex,
 )
-from mintest.mandatory import _lattice
-from mintest.search import _colex_masks, _local_verdict
+from mintest.pruning import _colex_masks, _lattice, _local_verdict
 
 from reference import is_local_test
 from test_difference_masks import class_sets
@@ -131,7 +129,7 @@ def verdict_cases(draw):
 def test_lattice_verdict_equals_the_rank_set_verdict(case):
     class_set, tests = case
     on_lattice = [_local_verdict(class_set, t) for t in tests]
-    with mock.patch.object(search, "_LATTICE_WIDTH", 0):
+    with mock.patch.object(pruning, "_LATTICE_WIDTH", 0):
         assert [_local_verdict(class_set, t) for t in tests] == on_lattice
 
 
@@ -147,13 +145,13 @@ def test_tables_stay_within_the_cap(monkeypatch, above):
     """A view at the cap is scanned on the lattice, one past it over rank
     sets; either way the report is the rank-set kernel's, and no table
     wider than the cap is built."""
-    monkeypatch.setattr(mandatory, "_LATTICES", {})
-    width = search._LATTICE_WIDTH + above
+    monkeypatch.setattr(pruning, "_LATTICES", {})
+    width = pruning._LATTICE_WIDTH + above
     class_set = one_class(width, 16, width)
     report = enumerate_local_minimal_tests(class_set)
-    assert max(mandatory._LATTICES, default=0) <= search._LATTICE_WIDTH
-    assert (width in mandatory._LATTICES) == (not above)
-    monkeypatch.setattr(search, "_LATTICE_WIDTH", 0)
+    assert max(pruning._LATTICES, default=0) <= pruning._LATTICE_WIDTH
+    assert (width in pruning._LATTICES) == (not above)
+    monkeypatch.setattr(pruning, "_LATTICE_WIDTH", 0)
     assert enumerate_local_minimal_tests(one_class(width, 16, width)) == report
 
 
@@ -169,5 +167,5 @@ def test_reports_equal_the_rank_set_kernel(monkeypatch, config):
         for seed in range(60)
     ]
     lattice = [enumerate_minimal_tests(m, config).to_json() for m in matrices]
-    monkeypatch.setattr(search, "_LATTICE_WIDTH", 0)
+    monkeypatch.setattr(pruning, "_LATTICE_WIDTH", 0)
     assert [enumerate_minimal_tests(m, config).to_json() for m in matrices] == lattice

@@ -289,6 +289,22 @@ class TestClassSetParsing:
         assert [c.name for c in cs.classes] == ["M1", "M2"]
         assert cs.classes[1].rows == (0b00, 0b01)
 
+    def test_class_key_follows_any_whitespace(self):
+        cs = parse_class_set("columns: 1 2\nclass\t101\n1: 01\n2: 10\n")
+        assert cs.classes[0].key == (1, 0, 1)
+
+    @pytest.mark.parametrize("header", ["class101", "classy 101"])
+    def test_rejects_a_header_word_other_than_class(self, header, tmp_path, capsys):
+        text = f"columns: 1 2\n{header}\n1: 01\n2: 10\n"
+        message = f"line 2: unrecognized line {header!r}"
+        with pytest.raises(MatrixFormatError) as info:
+            parse_class_set(text)
+        assert str(info.value) == message
+        path = tmp_path / "classes.txt"
+        path.write_text(text)
+        assert main(["analyze", "--input", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_rejects_rows_outside_class(self):
         with pytest.raises(MatrixFormatError):
             parse_class_set("columns: 1 2\n1: 01\n")

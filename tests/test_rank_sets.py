@@ -1,11 +1,11 @@
 """The rank sets and rank blocks behind the bit-sliced subset scan.
 
-search._rank_sets(w, k, lex) holds, per position of range(w), the ranks
+pruning._rank_sets(w, k, lex) holds, per position of range(w), the ranks
 of the k-subsets that contain it, numbered in scan order (that of
-iter_subsets_colex) or in lexicographic order.  search._blocks cuts one
-scan into contiguous rank blocks of at most search._BLOCK ranks.  The
+iter_subsets_colex) or in lexicographic order.  pruning._blocks cuts one
+scan into contiguous rank blocks of at most pruning._BLOCK ranks.  The
 scan must give the same tests, hit and counters whatever the block size.
-The scan tests here force the rank-set kernel (search._LATTICE_WIDTH = 0),
+The scan tests here force the rank-set kernel (pruning._LATTICE_WIDTH = 0),
 which otherwise serves only views wider than the lattice cap.
 """
 
@@ -16,14 +16,17 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import mintest.search as search
+from conftest import kernel_caps
+
+import mintest.pruning as pruning
 from mintest import iter_subsets_colex
-from mintest.search import _blocks, _rank_sets, _scan_size
+from mintest.pruning import _blocks, _rank_sets, _scan_size
 
 from test_difference_masks import class_sets
 from test_scan_kernel import (
     SEEDED,
     assert_scans_agree,
+    forced_caps,
     paired_positions,
     random_class_set,
     reference_scan,
@@ -52,7 +55,7 @@ def test_rank_sets_number_the_subsets(width):
 
 @pytest.mark.parametrize("block", [1, 3, 7, 40])
 def test_blocks_cut_the_scan_order_into_runs(monkeypatch, block):
-    monkeypatch.setattr(search, "_BLOCK", block)
+    monkeypatch.setattr(pruning, "_BLOCK", block)
     for width in range(10):
         for size in range(width + 1):
             subsets = list(iter_subsets_colex(range(width), size))
@@ -68,12 +71,12 @@ def test_blocks_cut_the_scan_order_into_runs(monkeypatch, block):
 
 @pytest.fixture
 def rank_sets(monkeypatch):
-    monkeypatch.setattr(search, "_LATTICE_WIDTH", 0)
+    monkeypatch.setattr(pruning, "_LATTICE_WIDTH", 0)
 
 
 @pytest.fixture(params=[1, 3, 7])
 def small_block(request, monkeypatch):
-    monkeypatch.setattr(search, "_BLOCK", request.param)
+    monkeypatch.setattr(pruning, "_BLOCK", request.param)
     return request.param
 
 
@@ -82,7 +85,7 @@ def test_small_blocks_agree_with_the_reference(
     monkeypatch, rank_sets, small_block, fallback
 ):
     if fallback:
-        monkeypatch.setattr(search, "_TRIPLE_MASK_CAP", 0)
+        monkeypatch.setattr(pruning, "_TRIPLE_MASK_CAP", 0)
     totals = {"seed": 0, "pair": 0, "hit": 0}
     for cs in SEEDED:
         for key, value in assert_scans_agree(cs).items():
@@ -93,14 +96,8 @@ def test_small_blocks_agree_with_the_reference(
 @settings(max_examples=40, deadline=None)
 @given(class_sets(), st.sampled_from([1, 3, 7]), st.booleans())
 def test_small_blocks_hypothesis(class_set, block, fallback):
-    saved = search._BLOCK, search._TRIPLE_MASK_CAP, search._LATTICE_WIDTH
-    search._BLOCK = block
-    search._TRIPLE_MASK_CAP = 0 if fallback else saved[1]
-    search._LATTICE_WIDTH = 0
-    try:
+    with kernel_caps(_BLOCK=block, **forced_caps(True, fallback)):
         assert_scans_agree(class_set)
-    finally:
-        search._BLOCK, search._TRIPLE_MASK_CAP, search._LATTICE_WIDTH = saved
 
 
 def assert_count_all_counts_past_the_hit():
@@ -124,30 +121,30 @@ def assert_count_all_counts_past_the_hit():
     assert hits
 
 
-@pytest.mark.parametrize("block", [3, search._BLOCK])
+@pytest.mark.parametrize("block", [3, pruning._BLOCK])
 def test_count_all_counts_past_the_hit(monkeypatch, rank_sets, block):
     """With count_all the tests end at the hit and the counters cover the
     whole size, as in the scan without a stop."""
-    monkeypatch.setattr(search, "_BLOCK", block)
+    monkeypatch.setattr(pruning, "_BLOCK", block)
     assert_count_all_counts_past_the_hit()
 
 
 def test_count_all_counts_past_the_hit_on_the_lattice():
-    assert max(len(cs.columns) for cs in SEEDED) <= search._LATTICE_WIDTH
+    assert max(len(cs.columns) for cs in SEEDED) <= pruning._LATTICE_WIDTH
     assert_count_all_counts_past_the_hit()
 
 
 def test_no_rank_set_is_wider_than_a_block(monkeypatch, rank_sets):
     built = []
-    build = search._rank_sets
+    build = pruning._rank_sets
 
     def recording(width, size, lex):
         sets = build(width, size, lex)
         built.append(max(sets, default=0).bit_length())
         return sets
 
-    monkeypatch.setattr(search, "_BLOCK", 64)
-    monkeypatch.setattr(search, "_rank_sets", recording)
+    monkeypatch.setattr(pruning, "_BLOCK", 64)
+    monkeypatch.setattr(pruning, "_rank_sets", recording)
     build.cache_clear()
     cs = random_class_set(random.Random(12), 12, [24])
     for size in range(13):

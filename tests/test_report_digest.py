@@ -3,7 +3,7 @@
 No change to the search may alter a report, so the sha256 of
 TestReport.to_json() over a fixed set of generated matrices, under every
 pruning and start configuration, is pinned here for both scan kernels
-(the subset lattice and, with search._LATTICE_WIDTH = 0, the rank sets).
+(the subset lattice and, with pruning._LATTICE_WIDTH = 0, the rank sets).
 The corpus has three shapes close to the benchmark workloads, each at
 three densities; one matrix of each gets the complement of its first
 column appended, so that the paired-column skips are exercised too.
@@ -21,7 +21,7 @@ from dataclasses import asdict
 
 import pytest
 
-import mintest.search as search
+import mintest.pruning as pruning
 from mintest import (
     BooleanMatrix,
     GeneratorConfig,
@@ -94,7 +94,7 @@ def report_digest():
 @pytest.mark.parametrize("kernel", ["lattice", "rank sets"])
 def test_reports_are_pinned(monkeypatch, kernel):
     if kernel == "rank sets":
-        monkeypatch.setattr(search, "_LATTICE_WIDTH", 0)
+        monkeypatch.setattr(pruning, "_LATTICE_WIDTH", 0)
     assert report_digest() == DIGEST
 
 

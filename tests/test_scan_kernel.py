@@ -1,8 +1,8 @@
 """The bit-sliced subset scan against a reference scan.
 
-search._scan_size decides the subsets of one size in bulk, on the subset
+pruning._scan_size decides the subsets of one size in bulk, on the subset
 lattice of the view or, above a width cap (forced here with
-search._LATTICE_WIDTH = 0), over rank sets.  It tests seeds with the
+pruning._LATTICE_WIDTH = 0), over rank sets.  It tests seeds with the
 triple unions, or above a triple cap with the multiplicity seeds.  The
 reference here enumerates the same order with iter_subsets_colex, tests
 seeds by probing each candidate's one-smaller submasks in seed_masks,
@@ -18,8 +18,10 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_matrix
+from conftest import kernel_caps, random_matrix
 
+import mintest.mandatory as mandatory
+import mintest.pruning as pruning
 import mintest.search as search
 from mintest import (
     ClassSet,
@@ -32,7 +34,7 @@ from mintest import (
     seed_masks,
 )
 from mintest.matrix import _paired_positions
-from mintest.search import _local_verdict, _scan_size
+from mintest.pruning import _local_verdict, _scan_size
 from reference import first_collision
 
 from test_difference_masks import class_sets
@@ -142,15 +144,21 @@ def seeded_class_sets():
 SEEDED = seeded_class_sets()
 
 
+def forced_caps(rank_sets, fallback):
+    """The caps that force the rank-set kernel and the seed fallback."""
+    axes = (("_LATTICE_WIDTH", rank_sets), ("_TRIPLE_MASK_CAP", fallback))
+    return {name: 0 for name, forced in axes if forced}
+
+
 @pytest.fixture(
     params=["triples", "fallback", "triples-rank-sets", "fallback-rank-sets"]
 )
 def seed_source(request, monkeypatch):
     """The seed source crossed with the kernel: the lattice, or rank sets."""
     if request.param.startswith("fallback"):
-        monkeypatch.setattr(search, "_TRIPLE_MASK_CAP", 0)
+        monkeypatch.setattr(pruning, "_TRIPLE_MASK_CAP", 0)
     if request.param.endswith("rank-sets"):
-        monkeypatch.setattr(search, "_LATTICE_WIDTH", 0)
+        monkeypatch.setattr(pruning, "_LATTICE_WIDTH", 0)
     return request.param
 
 
@@ -185,21 +193,43 @@ class TestKernelAgainstReference:
     @settings(max_examples=60, deadline=None)
     @given(class_sets(), st.booleans(), st.booleans())
     def test_hypothesis(self, class_set, fallback, rank_sets):
-        saved = search._TRIPLE_MASK_CAP, search._LATTICE_WIDTH
-        search._TRIPLE_MASK_CAP = 0 if fallback else saved[0]
-        search._LATTICE_WIDTH = 0 if rank_sets else saved[1]
-        try:
+        with kernel_caps(**forced_caps(rank_sets, fallback)):
             assert_scans_agree(class_set)
-        finally:
-            search._TRIPLE_MASK_CAP, search._LATTICE_WIDTH = saved
 
 
-@pytest.mark.parametrize("width", [search._LATTICE_WIDTH, 0], ids=["lattice", "rank-sets"])
+@pytest.mark.parametrize("rank_sets", [False, True])
+@pytest.mark.parametrize("fallback", [False, True])
+def test_forced_caps_reach_their_code(monkeypatch, rank_sets, fallback):
+    """Forcing the rank-set axis runs _rank_scan and forcing the fallback
+    axis runs seed_masks, so neither axis can test the default twice."""
+    calls = set()
+    for name in ("_lattice_scan", "_rank_scan", "seed_masks"):
+        real = getattr(pruning, name)
+        spy = lambda *args, real=real, name=name: calls.add(name) or real(*args)
+        monkeypatch.setattr(pruning, name, spy)
+    cs = SEEDED[0]
+    assert cs.triple_masks
+    with kernel_caps(**forced_caps(rank_sets, fallback)):
+        _scan_size(cs, 3, True, None)
+    kernel = "_rank_scan" if rank_sets else "_lattice_scan"
+    assert calls == ({kernel, "seed_masks"} if fallback else {kernel})
+    with pytest.raises(AttributeError):
+        with kernel_caps(_NO_SUCH_CAP=0):
+            pass
+
+
+def test_scan_caps_live_in_pruning_alone():
+    for module in (search, mandatory):
+        for name in ("_LATTICE_WIDTH", "_TRIPLE_MASK_CAP", "_BLOCK", "_LATTICES"):
+            assert not hasattr(module, name), (module.__name__, name)
+
+
+@pytest.mark.parametrize("width", [pruning._LATTICE_WIDTH, 0], ids=["lattice", "rank-sets"])
 def test_stop_at_every_hit_position(monkeypatch, width):
     """A stop at the n-th test of a scan, for every n: the tests, hit and
     counters must be cut exactly there.  The class sets are small classes
     over 9 columns, one of them paired, so most sizes hold many tests."""
-    monkeypatch.setattr(search, "_LATTICE_WIDTH", width)
+    monkeypatch.setattr(pruning, "_LATTICE_WIDTH", width)
     seen = {"seed": 0, "pair": 0, "hit": 0}
     for seed in range(6):
         rng = random.Random(seed)
@@ -223,8 +253,8 @@ def test_single_row_classes_make_every_set_a_test(monkeypatch):
         classes=tuple(ClassView(f"M{i}", (), (i,), (i,)) for i in (1, 2)),
     )
     assert cs.difference_masks == ()
-    for width in (search._LATTICE_WIDTH, 0):
-        monkeypatch.setattr(search, "_LATTICE_WIDTH", width)
+    for width in (pruning._LATTICE_WIDTH, 0):
+        monkeypatch.setattr(pruning, "_LATTICE_WIDTH", width)
         for size in range(4):
             scan = _scan_size(cs, size, True, None)
             assert scan.tests == list(iter_subsets_colex(cs.columns, size))
@@ -236,12 +266,12 @@ def test_seed_source_switches_at_the_triple_cap(monkeypatch, rows, fallback):
     # C(229,3) = 1,975,354 and C(230,3) = 2,001,460 row triples
     calls = []
     monkeypatch.setattr(
-        search, "seed_masks", lambda cs, k: calls.append(k) or seed_masks(cs, k)
+        pruning, "seed_masks", lambda cs, k: calls.append(k) or seed_masks(cs, k)
     )
     cs = random_class_set(random.Random(rows), 8, [rows])
-    assert (cs.triple_count > search._TRIPLE_MASK_CAP) == fallback
-    for width in (search._LATTICE_WIDTH, 0):
-        monkeypatch.setattr(search, "_LATTICE_WIDTH", width)
+    assert (cs.triple_count > pruning._TRIPLE_MASK_CAP) == fallback
+    for width in (pruning._LATTICE_WIDTH, 0):
+        monkeypatch.setattr(pruning, "_LATTICE_WIDTH", width)
         calls.clear()
         assert kernel_scan(cs, 3, True, False) == reference_scan(cs, 3, True, False)
         assert calls == ([2] if fallback else [])
