@@ -63,22 +63,55 @@ from .search import (
     verify_test,
 )
 from .oracle import OracleCeilingError, OracleResult, oracle_deadend_tests, oracle_minimal_tests
-from .generate import GenerationError, GeneratorConfig, SplitMix64, derive_seeds, generate_matrix
-from .bench import (
-    BenchResult,
-    ExperimentRecord,
-    StreamConfig,
-    bench_matrix,
-    csv_text,
-    run_benchmark,
-    summarize,
-)
-from .fixtures import (
-    UnknownFixtureError,
-    fixture_text,
-    list_fixtures,
-    load_fixture_classes,
-    load_fixture_matrix,
-)
+
+# The benchmark, the generator and the bundled fixtures are not on the
+# solve path, so their names load on first use (PEP 562).
+_LAZY = {
+    "bench": (
+        "BenchResult",
+        "ExperimentRecord",
+        "StreamConfig",
+        "bench_matrix",
+        "csv_text",
+        "run_benchmark",
+        "summarize",
+    ),
+    "generate": (
+        "GenerationError",
+        "GeneratorConfig",
+        "SplitMix64",
+        "derive_seeds",
+        "generate_matrix",
+    ),
+    "fixtures": (
+        "UnknownFixtureError",
+        "fixture_text",
+        "list_fixtures",
+        "load_fixture_classes",
+        "load_fixture_matrix",
+    ),
+}
+_HOME = {name: module for module, names in _LAZY.items() for name in names}
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    from importlib import import_module
+
+    if name in _LAZY:
+        return import_module(f"{__name__}.{name}")
+    try:
+        module = _HOME[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = globals()[name] = getattr(import_module(f"{__name__}.{module}"), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(globals().keys() | _LAZY.keys() | _HOME.keys())
+
+
+# What `from mintest import *` binds, the lazy names included.
+__all__ = [name for name in __dir__() if not name.startswith("_")]

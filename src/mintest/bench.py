@@ -52,6 +52,8 @@ CSV_COLUMNS = (
 
 @dataclass(frozen=True)
 class StreamConfig:
+    """A random-matrix stream: its size, shapes, densities, seed and run options."""
+
     count: int
     rows: tuple[int, ...] = (10,)
     cols: tuple[int, ...] = (8,)
@@ -64,6 +66,9 @@ class StreamConfig:
 
 @dataclass(frozen=True)
 class ExperimentRecord:
+    """One stream matrix: its analysis, the searches with and without pruning,
+    the oracle check and their times."""
+
     index: int
     seed: int
     m: int
@@ -93,6 +98,8 @@ class ExperimentRecord:
 
 @dataclass(frozen=True)
 class BenchResult:
+    """The records of one stream, with their mismatches and failures counted."""
+
     records: tuple[ExperimentRecord, ...]
     mismatches: int
     failures: int

@@ -15,14 +15,6 @@ import sys
 from dataclasses import asdict
 from itertools import product
 
-from .bench import (
-    StreamConfig,
-    bench_matrix,
-    bench_result,
-    csv_text,
-    run_benchmark,
-    summarize,
-)
 from .fixtures import UnknownFixtureError, fixture_text, list_fixtures
 from .generate import GenerationError, GeneratorConfig, generate_matrix
 from .heuristic import column_pair_stats, estimate_length, union_pair_stats
@@ -30,6 +22,7 @@ from .mandatory import (
     candidate_pair_count,
     class_views,
     find_mandatory,
+    opens_class_set,
     parse_class_set,
     partition_by_mandatory,
 )
@@ -61,12 +54,12 @@ def _read_input(source: str) -> str:
 
 
 def _parse_any(text: str) -> BooleanMatrix | ClassSet:
-    """Parse a matrix or a class-set file, deciding by the header line."""
+    """Parse a matrix or a class-set file, deciding by the first line."""
     for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if line.startswith("columns:"):
+        if opens_class_set(line):
             return parse_class_set(text)
         break
     return parse_matrix(text)
@@ -451,6 +444,16 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    # here, so that the other verbs do not load the benchmark
+    from .bench import (
+        StreamConfig,
+        bench_matrix,
+        bench_result,
+        csv_text,
+        run_benchmark,
+        summarize,
+    )
+
     _at_least("--count", args.count)
     _at_least("--oracle-ceiling", args.oracle_ceiling)
     _at_least("--workers", args.workers, 1)

@@ -44,6 +44,8 @@ class SplitMix64:
 
 @dataclass(frozen=True)
 class GeneratorConfig:
+    """Shape, density of ones and seed of a random matrix."""
+
     rows: int
     cols: int
     ones_density: float = 0.5

@@ -247,6 +247,21 @@ def class_views(
     )
 
 
+# The header words of a class-set file, which may come in any order.
+_COLUMNS, _MANDATORY, _PARENT_ROWS = CLASS_SET_HEADERS = (
+    "columns:",
+    "mandatory:",
+    "parent-rows:",
+)
+
+
+def opens_class_set(line: str) -> bool:
+    """Whether a file whose first stripped line, past blank and comment
+    lines, is ``line`` is a class set: one opens with a header or a class
+    line, and a matrix file with neither."""
+    return line.startswith(CLASS_SET_HEADERS) or line.split()[0] == "class"
+
+
 def parse_class_set(text: str) -> ClassSet:
     """Parse a class-set file.
 
@@ -265,7 +280,8 @@ def parse_class_set(text: str) -> ClassSet:
     a class starts at a line of the word ``class``, whitespace and its
     key bits (none without mandatory columns), and each of its row lines
     is ``<label>: <bits>`` over the view columns.  ``mandatory``
-    and ``parent-rows`` are optional context about the parent matrix.
+    and ``parent-rows`` are optional context about the parent matrix;
+    with a ``mandatory`` header, each class key has one bit per label.
     Labels in ``columns`` (at least one) and ``mandatory`` are distinct
     positive integers, and no mandatory label is also a view column.  Row
     labels and ``parent-rows`` are positive integers, and ``parent-rows``
@@ -278,6 +294,7 @@ def parse_class_set(text: str) -> ClassSet:
     total_rows: int | None = None
     total_rows_line = 0
     classes: list[ClassView] = []
+    class_lines: list[int] = []
     current_key: tuple[int, ...] | None = None
     current_rows: list[tuple[int, int]] = []
     seen_labels: set[int] = set()
@@ -308,13 +325,13 @@ def parse_class_set(text: str) -> ClassSet:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if line.startswith("columns:"):
+        if line.startswith(_COLUMNS):
             columns = _header_labels(lineno, line)
             if not columns:
                 raise MatrixFormatError(f"line {lineno}: 'columns:' lists no labels")
-        elif line.startswith("mandatory:"):
+        elif line.startswith(_MANDATORY):
             mandatory, mandatory_line = _header_labels(lineno, line), lineno
-        elif line.startswith("parent-rows:"):
+        elif line.startswith(_PARENT_ROWS):
             total_rows = _positive_int(lineno, "'parent-rows:'", line.split(":", 1)[1])
             total_rows_line = lineno
         elif line.split()[0] == "class":
@@ -323,6 +340,7 @@ def parse_class_set(text: str) -> ClassSet:
             if set(key_text) - {"0", "1"}:
                 raise MatrixFormatError(f"line {lineno}: bad class key {key_text!r}")
             current_key = tuple(int(b) for b in key_text)
+            class_lines.append(lineno)
         elif ":" in line:
             if columns is None:
                 raise MatrixFormatError("row before 'columns:' header")
@@ -350,6 +368,13 @@ def parse_class_set(text: str) -> ClassSet:
             f"line {mandatory_line}: 'mandatory:' label(s) "
             f"{' '.join(map(str, shared))} are also in 'columns:'"
         )
+    if mandatory_line:  # headers may follow the classes, so check here
+        for view, lineno in zip(classes, class_lines):
+            if len(view.key) != len(mandatory):
+                raise MatrixFormatError(
+                    f"line {lineno}: class key {''.join(map(str, view.key))!r} must "
+                    f"have length {len(mandatory)}, one bit per 'mandatory:' label"
+                )
     class_rows = sum(view.size for view in classes)
     if total_rows is not None and total_rows < class_rows:
         raise MatrixFormatError(

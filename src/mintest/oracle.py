@@ -19,8 +19,11 @@ class OracleCeilingError(RuntimeError):
     """Matrix too wide for exhaustive enumeration with the given ceiling."""
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class OracleResult:
+    """The minimal tests found by exhaustive enumeration, the dead-end
+    tests when asked for, and the number of subsets checked."""
+
     min_length: int
     minimal_tests: tuple[ColumnSet, ...]
     deadend_tests: tuple[ColumnSet, ...] | None

@@ -341,7 +341,7 @@ def _up_step(sets: int, width: int) -> int:
     return up
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class IdenticalProjectionGroup:
     """Rows of one class that project identically onto a column set."""
 
@@ -354,7 +354,7 @@ class IdenticalProjectionGroup:
         return len(self.rows)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class CycleCost:
     """Work estimate of the two refutation strategies; smaller one wins."""
 
@@ -533,6 +533,9 @@ _BLOCK = 1 << 15
 
 @dataclass(slots=True)
 class _Scan:
+    """One size's scan: the tests found in scan order, the one that met
+    the stop predicate, and the work counters."""
+
     tests: list[ColumnSet]
     hit: ColumnSet | None = None
     checked: int = 0

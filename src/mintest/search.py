@@ -76,15 +76,19 @@ class SearchConfig:
     initial_length: int | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Correction:
+    """One change of the search length, from old to new, and its reason."""
+
     old_length: int
     new_length: int
     reason: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SearchStats:
+    """Work counters of one search and the lengths it visited."""
+
     class_count: int = 0
     free_columns: int = 0
     candidates_checked: int = 0
@@ -99,7 +103,7 @@ class SearchStats:
         return self.candidates_checked + self.sweep_checked
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class DeadendCheck:
     """Dead-end verdict: per-column witness pairs, or a removable column."""
 
@@ -108,7 +112,7 @@ class DeadendCheck:
     redundant: int | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class LocalReport:
     """Result of the local search on a class set."""
 
@@ -124,7 +128,7 @@ class LocalReport:
     parent_pair_total: int | None
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TestReport:
     """Full pipeline result: every minimal test, verified dead-end."""
 
@@ -146,8 +150,11 @@ class TestReport:
         return json.dumps(asdict(self), sort_keys=True)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TestVerdict:
+    """Whether a column set is a test, a dead-end one, and a minimal one
+    ("yes", "no", or "unknown" when the matrix is past the oracle ceiling)."""
+
     columns: ColumnSet
     test: bool
     deadend: bool | None

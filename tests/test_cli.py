@@ -72,6 +72,29 @@ class TestAnalyze:
         assert doc["undistinguished_pairs"] == [150, 164, 164, 146, 146, 156, 144, 150, 144, 150]
         assert doc["estimate"]["t0"] == 7
 
+    @pytest.mark.parametrize(
+        "head",
+        [
+            "mandatory: 2 3\ncolumns: 1 4\nparent-rows: 5\nclass 01\n",
+            "parent-rows: 5\nmandatory: 2 3\ncolumns: 1 4\nclass 01\n",
+            "# a comment\n\nclass 01\ncolumns: 1 4\nmandatory: 2 3\nparent-rows: 5\n",
+        ],
+    )
+    def test_class_set_headers_in_any_order(self, capsys, tmp_path, head):
+        """A class-set file is told from a matrix by any header or a class
+        line first, as parse_class_set takes them in any order."""
+        canonical = tmp_path / "canonical.txt"
+        canonical.write_text(
+            "columns: 1 4\nmandatory: 2 3\nparent-rows: 5\n"
+            "class 01\n1: 01\n2: 10\nclass 11\n3: 00\n4: 11\n"
+        )
+        path = tmp_path / "classes.txt"
+        path.write_text(head + "1: 01\n2: 10\nclass 11\n3: 00\n4: 11\n")
+        for argv in ([], ["--json"]):
+            code, out, err = run(capsys, "analyze", "--input", str(path), *argv)
+            assert (code, err) == (0, "")
+            assert out == run(capsys, "analyze", "--input", str(canonical), *argv)[1]
+
     def test_seeds_table(self, capsys):
         code, out, _ = run(capsys, "analyze", "--input", "q25x10", "--seeds")
         assert code == 0

@@ -305,6 +305,41 @@ class TestClassSetParsing:
         assert main(["analyze", "--input", str(path)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            (
+                "columns: 1 4\nmandatory: 2 3\nclass 1\n1: 01\n2: 10\n"
+                "class 101\n3: 01\n4: 10\n",
+                "line 3: class key '1' must have length 2, one bit per 'mandatory:' label",
+            ),
+            (
+                "columns: 1 4\nclass 01\n1: 01\n2: 10\nclass 101\n3: 01\n4: 10\n"
+                "mandatory: 2 3\n",
+                "line 5: class key '101' must have length 2, one bit per 'mandatory:' label",
+            ),
+            (
+                "columns: 1 4\nmandatory:\nclass 1\n1: 01\n2: 10\n",
+                "line 3: class key '1' must have length 0, one bit per 'mandatory:' label",
+            ),
+        ],
+    )
+    def test_rejects_a_key_not_one_bit_per_mandatory_label(
+        self, text, message, tmp_path, capsys
+    ):
+        """Headers may follow the classes, so the check waits for them."""
+        with pytest.raises(MatrixFormatError) as info:
+            parse_class_set(text)
+        assert str(info.value) == message
+        path = tmp_path / "classes.txt"
+        path.write_text(text)
+        assert main(["analyze", "--input", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_key_of_any_width_without_mandatory_header(self):
+        cs = parse_class_set("columns: 1 4\nclass 1\n1: 01\n2: 10\nclass 101\n3: 01\n4: 10\n")
+        assert [view.key for view in cs.classes] == [(1,), (1, 0, 1)]
+
     def test_rejects_rows_outside_class(self):
         with pytest.raises(MatrixFormatError):
             parse_class_set("columns: 1 2\n1: 01\n")

@@ -6,7 +6,11 @@ show up as attributes depends on what else was imported first.
 """
 
 import importlib
+import os
 import re
+import subprocess
+import sys
+import textwrap
 import types
 from pathlib import Path
 
@@ -140,3 +144,59 @@ def test_benchmark_worker_names_are_exported():
     used = set(re.findall(r"\bmt\.(\w+)", WORKER.read_text(encoding="utf-8")))
     assert used  # the pattern still finds the calls
     assert used <= exported()
+
+
+def run_fresh(code: str) -> None:
+    """Run `code` in a new interpreter, where no test has loaded anything yet."""
+    src = Path(mintest.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(code)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
+def test_star_import_binds_the_public_names():
+    """Fresh, since a lazy name that another test has loaded binds without
+    `__all__`."""
+    run_fresh(
+        f"""
+        import types
+
+        namespace = {{}}
+        exec("from mintest import *", namespace)
+        bound = {{
+            name
+            for name, value in namespace.items()
+            if not name.startswith("_") and not isinstance(value, types.ModuleType)
+        }}
+        assert sorted(bound) == {sorted(PUBLIC)!r}, bound
+        """
+    )
+
+
+def test_import_loads_only_the_solve_path():
+    """`import mintest` in a fresh interpreter leaves the benchmark, the
+    generator and the fixtures unloaded; their names load on first use."""
+    run_fresh(
+        """
+        import sys
+        import mintest
+
+        lazy = ("mintest.bench", "mintest.generate", "mintest.fixtures")
+        assert not [name for name in lazy if name in sys.modules]
+        assert mintest.run_benchmark is sys.modules["mintest.bench"].run_benchmark
+        assert "mintest.generate" in sys.modules  # bench imports it
+        assert "mintest.fixtures" not in sys.modules
+        assert mintest.fixtures.list_fixtures is mintest.list_fixtures
+        try:
+            mintest.no_such_name
+        except AttributeError as exc:
+            assert str(exc) == "module 'mintest' has no attribute 'no_such_name'"
+        else:
+            raise AssertionError("mintest.no_such_name resolved")
+        """
+    )
