@@ -44,7 +44,6 @@ from .pruning import (
     IdenticalProjectionGroup,
     bijective_column_pairs,
     cycle_costs,
-    iter_subsets_colex,
     multiplicity_seeds,
     seed_masks,
 )
@@ -62,7 +61,13 @@ from .search import (
     is_deadend,
     verify_test,
 )
-from .oracle import OracleCeilingError, OracleResult, oracle_deadend_tests, oracle_minimal_tests
+from .oracle import (
+    OracleCeilingError,
+    OracleResult,
+    iter_subsets_colex,
+    oracle_deadend_tests,
+    oracle_minimal_tests,
+)
 
 # The benchmark, the generator and the bundled fixtures are not on the
 # solve path, so their names load on first use (PEP 562).

@@ -44,7 +44,8 @@ class SplitMix64:
 
 @dataclass(frozen=True)
 class GeneratorConfig:
-    """Shape, density of ones and seed of a random matrix."""
+    """Shape, density of ones and seed of a random matrix; asking for more
+    rows than distinct rows exist raises GenerationError."""
 
     rows: int
     cols: int
@@ -58,22 +59,22 @@ class GeneratorConfig:
             raise ValueError("need at least one column")
         if not 0.0 < self.ones_density < 1.0:
             raise ValueError("ones_density must be strictly between 0 and 1")
+        if self.cols < 64 and self.rows > 1 << self.cols:
+            raise GenerationError(
+                f"{self.rows} distinct rows impossible with {self.cols} columns "
+                f"(limit {1 << self.cols})"
+            )
 
 
 def generate_matrix(config: GeneratorConfig) -> BooleanMatrix:
     """Random matrix with the given shape, density and seed.
 
     Each cell is one independently with probability ones_density; rows
-    colliding with an earlier row are redrawn.  Fails up front when more
-    rows are requested than distinct rows exist, and after a bounded
+    colliding with an earlier row are redrawn.  Fails after a bounded
     number of redraws when duplicates keep coming (very dense or very
     sparse configurations close to the pigeonhole limit).
     """
     m, n = config.rows, config.cols
-    if n < 64 and m > (1 << n):
-        raise GenerationError(
-            f"{m} distinct rows impossible with {n} columns (limit {1 << n})"
-        )
     rng = SplitMix64(config.seed)
     rows: list[int] = []
     seen: set[int] = set()

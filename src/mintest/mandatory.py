@@ -281,7 +281,8 @@ def parse_class_set(text: str) -> ClassSet:
     key bits (none without mandatory columns), and each of its row lines
     is ``<label>: <bits>`` over the view columns.  ``mandatory``
     and ``parent-rows`` are optional context about the parent matrix;
-    with a ``mandatory`` header, each class key has one bit per label.
+    with a ``mandatory`` header, each class key has one bit per label, and
+    the labels are sorted with the key bits reordered to match.
     Labels in ``columns`` (at least one) and ``mandatory`` are distinct
     positive integers, and no mandatory label is also a view column.  Row
     labels and ``parent-rows`` are positive integers, and ``parent-rows``
@@ -369,12 +370,14 @@ def parse_class_set(text: str) -> ClassSet:
             f"{' '.join(map(str, shared))} are also in 'columns:'"
         )
     if mandatory_line:  # headers may follow the classes, so check here
+        order = sorted(range(len(mandatory)), key=mandatory.__getitem__)
         for view, lineno in zip(classes, class_lines):
             if len(view.key) != len(mandatory):
                 raise MatrixFormatError(
                     f"line {lineno}: class key {''.join(map(str, view.key))!r} must "
                     f"have length {len(mandatory)}, one bit per 'mandatory:' label"
                 )
+            view.key = tuple([view.key[i] for i in order])  # the labels' sorted order
     class_rows = sum(view.size for view in classes)
     if total_rows is not None and total_rows < class_rows:
         raise MatrixFormatError(

@@ -10,9 +10,10 @@ containing a test is the minimal length.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
+from typing import Iterator, Sequence
 
 from .matrix import BooleanMatrix, ColumnSet
-from .pruning import iter_subsets_colex
 
 
 class OracleCeilingError(RuntimeError):
@@ -28,6 +29,18 @@ class OracleResult:
     minimal_tests: tuple[ColumnSet, ...]
     deadend_tests: tuple[ColumnSet, ...] | None
     subsets_checked: int
+
+
+def iter_subsets_colex(items: Sequence[int], k: int) -> Iterator[ColumnSet]:
+    """k-subsets of items in colexicographic order (by largest element last)."""
+    if k < 0 or k > len(items):
+        return
+    if k == 0:
+        yield ()
+        return
+    for last in range(k - 1, len(items)):
+        for rest in combinations(items[:last], k - 1):
+            yield rest + (items[last],)
 
 
 def _check_ceiling(matrix: BooleanMatrix, n_ceiling: int, what: str) -> None:

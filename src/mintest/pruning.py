@@ -6,8 +6,9 @@ class pairwise distinct.  Every subset scan of the search (the size-L
 enumeration, the (L-1) refutation sweep, the unpruned rescan for a jump
 target) is one call of _scan_size, which decides all candidates of a
 size at once with big-int operations and indexes no rows, and every
-local dead-end verdict is one call of _local_verdict.  Three independent
-facts shrink the scan:
+local dead-end verdict is one call of _local_verdict.  Both speak view
+masks, as every fact below does; the search builds column labels only
+for its result.  Three independent facts shrink the scan:
 
 * Identical projections.  A column set that projects two rows of one class
   onto the same value is not a local test.  Two rows collide exactly when
@@ -50,7 +51,7 @@ counters:
   column smaller (ClassSet.seed_up) are each one such int, so a size is
   its layer ANDed with them and every counter is a popcount.  Scan order
   is by least set bit, highest first, then by mask, larger first: the
-  tests decode by bit_length (_colex_masks), and a stop at mask x of
+  tests come out by bit_length (_colex_masks), and a stop at mask x of
   least bit j cuts the counters at the subsets with no bit below j, less
   those holding bit j below x.  A verdict is one bit test per column.
 * On a wider view, rank sets: the candidates are numbered in scan order,
@@ -69,7 +70,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import combinations
 from math import comb, inf
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
@@ -366,18 +366,6 @@ class CycleCost:
         return "z1" if self.z1 <= self.z2 else "z2"
 
 
-def iter_subsets_colex(items: Sequence[int], k: int) -> Iterator[ColumnSet]:
-    """k-subsets of items in colexicographic order (by largest element last)."""
-    if k < 0 or k > len(items):
-        return
-    if k == 0:
-        yield ()
-        return
-    for last in range(k - 1, len(items)):
-        for rest in combinations(items[:last], k - 1):
-            yield rest + (items[last],)
-
-
 def seed_masks(class_set: ClassSet, k: int) -> set[int]:
     """View masks of the k-subsets that project >= 3 rows of some class
     onto one value (the multiplicity seeds of size k).
@@ -452,15 +440,15 @@ def multiplicity_seeds(
     Each qualifying (subset, class) is reported once with the class's
     largest group (ties broken by smallest row labels), in colex subset
     order (by last view position, then lexicographically), then class
-    order.  Any single-column extension of a seed is a non-test, so seeds
-    of size k prune the size-(k+1) search.  Rows are grouped only for the
-    subsets seed_masks reports.
+    order, each subset's labels ascending.  Any single-column extension
+    of a seed is a non-test, so seeds of size k prune the size-(k+1)
+    search.  Rows are grouped only for the subsets seed_masks reports.
     """
     mask_at = {class_set.positions(m): m for m in seed_masks(class_set, k)}
     seeds = []
     for positions in sorted(mask_at, key=lambda p: (p[-1:], p)):
         mask = mask_at[positions]
-        subset = tuple([class_set.columns[p] for p in positions])
+        subset = tuple(sorted(class_set.columns[p] for p in positions))
         for view in class_set.classes:
             if view.size < 3:
                 continue
@@ -533,11 +521,11 @@ _BLOCK = 1 << 15
 
 @dataclass(slots=True)
 class _Scan:
-    """One size's scan: the tests found in scan order, the one that met
-    the stop predicate, and the work counters."""
+    """One size's scan: the view masks of the tests found in scan order,
+    the one that met the stop predicate, and the work counters."""
 
-    tests: list[ColumnSet]
-    hit: ColumnSet | None = None
+    tests: list[int]
+    hit: int | None = None
     checked: int = 0
     seed_skips: int = 0
     pair_skips: int = 0
@@ -555,19 +543,19 @@ def _scan_size(
     size: int,
     seeds: bool,
     pairs: Sequence[tuple[int, int]] | None,
-    stop: Callable[[ColumnSet], bool] | None = None,
+    stop: Callable[[int], bool] | None = None,
     *,
     count_all: bool = False,
 ) -> _Scan:
-    """Local tests of the given size, in the order of iter_subsets_colex,
-    under pruning.
+    """The view masks of the local tests of the given size, in the order
+    of iter_subsets_colex, under pruning.
 
     A candidate holding both columns of a paired pair (pairs: the view
     positions of the paired columns, pair by pair) is skipped; with seeds
     and size >= 2 one containing a multiplicity seed is a proven non-test
     and skipped; every other candidate is checked.  Only the paired-column
     skips may hide tests, and only non-dead-end ones.  The scan ends at
-    the first test for which stop is true and returns it as hit.  The
+    the first test mask for which stop is true and returns it as hit.  The
     counters are popcounts, cut at the test the stop fired on; with
     count_all they cover the whole size, and only the list of tests ends
     at the hit.  A view of at most _LATTICE_WIDTH columns is scanned on
@@ -593,17 +581,16 @@ def _lattice_scan(
     size: int,
     seeds: bool,
     pairs: Sequence[tuple[int, int]] | None,
-    stop: Callable[[ColumnSet], bool] | None,
+    stop: Callable[[int], bool] | None,
     count_all: bool,
 ) -> _Scan:
     """_scan_size on the subset lattice (_lattice): the candidates are the
     size layer, the paired ones hold both bits of a pair, the seeded ones
     lie in ClassSet.seed_up (above _TRIPLE_MASK_CAP triples, one up-step
     from the (k-1)-seeds) and the tests lie outside ClassSet.non_tests.
-    The tests decode by _colex_masks, and the cut is read off holding at
-    the hit."""
-    columns = class_set.columns
-    width = len(columns)
+    The tests come out of _colex_masks, and the cut is read off holding
+    at the hit."""
+    width = len(class_set.columns)
     holding, layers = _lattice(width)
     every = layers[size]
     paired = 0
@@ -622,13 +609,10 @@ def _lattice_scan(
     tests = clean & ~class_set.non_tests
     scan = _Scan([])
     cut = every
-    bit_of = class_set.bit_of
     for x in _colex_masks(tests, holding):
-        # from a list, for the reason given in ClassSet.positions
-        subset = tuple([c for c in columns if x & bit_of[c]])
-        scan.tests.append(subset)
-        if stop is not None and stop(subset):
-            scan.hit = subset
+        scan.tests.append(x)
+        if stop is not None and stop(x):
+            scan.hit = x
             if x and not count_all:  # the empty set is its whole size
                 j = (x & -x).bit_length() - 1
                 for hold in holding[:j]:
@@ -728,7 +712,7 @@ def _rank_scan(
     size: int,
     seeds: bool,
     pairs: Sequence[tuple[int, int]] | None,
-    stop: Callable[[ColumnSet], bool] | None,
+    stop: Callable[[int], bool] | None,
     count_all: bool,
 ) -> _Scan:
     """_scan_size over the rank sets of the view positions (_blocks), a
@@ -741,8 +725,8 @@ def _rank_scan(
     mask of more than w-k positions, and twice every one of more than
     w-k+1, so those masks are skipped.
     """
-    columns = class_set.columns
-    width = len(columns)
+    width = len(class_set.columns)
+    bits = [1 << width - 1 - pos for pos in range(width)]
     scan = _Scan([])
     triples: Iterable[tuple[int, ...]] = ()
     if seeds and size >= 2:
@@ -775,11 +759,10 @@ def _rank_scan(
         cut = every
         while tests:
             low = tests & -tests
-            # from a list, for the reason given in ClassSet.positions
-            subset = tuple([c for c, s in zip(columns, sets) if s & low])
-            scan.tests.append(subset)
-            if stop is not None and stop(subset):
-                scan.hit = subset
+            x = sum([bit for bit, ranks in zip(bits, sets) if ranks & low])
+            scan.tests.append(x)
+            if stop is not None and stop(x):
+                scan.hit = x
                 if not count_all:
                     cut = (low << 1) - 1
                 break
@@ -790,9 +773,10 @@ def _rank_scan(
     return scan
 
 
-def _local_verdict(class_set: ClassSet, columns: ColumnSet) -> int | None:
-    """Dead-end verdict of a local test inside the class structure: its
-    highest-indexed redundant column, or None when it is dead-end.
+def _local_verdict(class_set: ClassSet, mask: int) -> int | None:
+    """Dead-end verdict of a local test's view mask inside the class
+    structure: the bit of its redundant column last in view order (on a
+    matrix's view, the highest-indexed), or None when it is dead-end.
 
     Column c separates a pair alone iff the pair's difference meets the
     test in c only.  A minimal difference inside it meets the test in a
@@ -801,18 +785,22 @@ def _local_verdict(class_set: ClassSet, columns: ColumnSet) -> int | None:
     view of at most _LATTICE_WIDTH columns it is one bit test per
     column: c is redundant iff the test without c is still a test, that
     is no bit of ClassSet.non_tests, read in ClassSet.non_test_bytes.
-    The columns must already be a local test.
+    The mask must already be a local test.
     """
-    mask = class_set.mask(columns)
-    bit_of = class_set.bit_of
+    rest = mask
     if len(class_set.columns) <= _LATTICE_WIDTH:
         non_tests = class_set.non_test_bytes
-        redundant = None
-        for c in columns:
-            x = mask ^ bit_of[c]
+        while rest:
+            bit = rest & -rest
+            x = mask ^ bit
             if not non_tests[x >> 3] >> (x & 7) & 1:
-                redundant = c if redundant is None else max(redundant, c)
-    else:
-        private = set(map(mask.__and__, class_set.difference_masks))
-        redundant = max((c for c in columns if bit_of[c] not in private), default=None)
-    return redundant
+                return bit
+            rest ^= bit
+        return None
+    private = set(map(mask.__and__, class_set.difference_masks))
+    while rest:
+        bit = rest & -rest
+        if bit not in private:
+            return bit
+        rest ^= bit
+    return None

@@ -30,16 +30,20 @@ results.  Each dead-end verdict is computed once per search.
 Every subset scan is one call of pruning._scan_size, which decides all
 candidates of a size at once, and every local dead-end verdict is one
 call of pruning._local_verdict; pruning describes both scan kernels.
-No rows are indexed during the scan or the correction loop.  Witness
-pairs are found only on the full matrix: is_deadend certifies every
-reported test with one.
+Both work on view masks, as does the correction loop, whose reduction
+XORs out the bit the verdict names (the redundant column last in view
+order, the highest-indexed on a view of a matrix) until it names none;
+masks become column labels once, when the search returns its tests.  No
+rows are indexed during the scan or the correction loop.  Witness pairs
+are found only on the full matrix: is_deadend certifies every reported
+test with one.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from functools import cache, partial
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .heuristic import (
     HeuristicEstimate,
@@ -202,16 +206,6 @@ def is_deadend(matrix: BooleanMatrix, columns: Iterable[int]) -> DeadendCheck:
     return DeadendCheck(ok=redundant is None, witnesses=tuple(witnesses), redundant=redundant)
 
 
-def _reduce(
-    redundant: Callable[[ColumnSet], int | None], columns: ColumnSet
-) -> ColumnSet:
-    """Strip the column redundant(columns) names until it names none."""
-    while (column := redundant(columns)) is not None:
-        # from a list, for the reason given in ClassSet.positions
-        columns = tuple([c for c in columns if c != column])
-    return columns
-
-
 def verify_test(
     matrix: BooleanMatrix,
     columns: Iterable[int],
@@ -258,7 +252,8 @@ def _search_local(
     class_set: ClassSet, start: int, config: SearchConfig
 ) -> tuple[int, tuple[ColumnSet, ...], SearchStats, tuple[Correction, ...]]:
     """The correction loop.  Returns the exact local length and all local
-    tests of that length (just the colex-first one under first_only).
+    tests of that length (just the colex-first one under first_only), as
+    ascending label tuples in sorted order, with the search's counters.
 
     Every downward correction jumps to the dead-end reduction of one
     target test: with no paired-column skip at this size, the first
@@ -279,11 +274,10 @@ def _search_local(
         pairs = _paired_positions([view.rows for view in class_set.classes], n_free)
     redundant = cache(partial(_local_verdict, class_set))  # each verdict once
 
-    def not_deadend(columns: ColumnSet) -> bool:
-        return redundant(columns) is not None
+    def not_deadend(mask: int) -> bool:
+        return redundant(mask) is not None
 
-    candidates = sweep_checked = pruned_by_seeds = pruned_by_pairs = 0
-    cycle_cost: CycleCost | None = None
+    stats = SearchStats(class_count=len(class_set.classes), free_columns=n_free)
     corrections: list[Correction] = []
     visited: list[int] = []
     refuted = 0  # no local test of any size <= refuted exists
@@ -304,9 +298,9 @@ def _search_local(
             (lambda test: True) if config.first_only else not_deadend,
             count_all=not config.first_only,
         )
-        candidates += scan.checked
-        pruned_by_seeds += scan.seed_skips
-        pruned_by_pairs += scan.pair_skips
+        stats.candidates_checked += scan.checked
+        stats.pruned_by_seeds += scan.seed_skips
+        stats.pruned_by_pairs += scan.pair_skips
         found = scan.tests
         target = scan.hit  # the first non-dead-end test, or the first test
         if config.first_only and found and redundant(target) is None:
@@ -314,12 +308,12 @@ def _search_local(
         if found and target is None:
             if length - 1 <= refuted:
                 break
-            cycle_cost = cycle_costs(
+            stats.cycle_cost = cycle_costs(
                 k=length - 1, p=2, n=n_free + t_ob, t_ob=t_ob, t0=t_ob + length
             )
-            seeded = config.seed_prune and cycle_cost.chosen == "z2"
+            seeded = config.seed_prune and stats.cycle_cost.chosen == "z2"
             sweep = _scan_size(class_set, length - 1, seeded, None, lambda test: True)
-            sweep_checked += sweep.checked
+            stats.sweep_checked += sweep.checked
             if sweep.hit is None:
                 refuted = max(refuted, length - 1)
                 break
@@ -332,7 +326,7 @@ def _search_local(
         # A paired-column skip may hide an earlier non-dead-end test.
         if scan.pair_skips:
             rescan = _scan_size(class_set, length, False, None, not_deadend)
-            sweep_checked += rescan.checked
+            stats.sweep_checked += rescan.checked
             if rescan.hit is not None:
                 target = rescan.hit
         if target is None:
@@ -342,21 +336,16 @@ def _search_local(
             if new_length > n_free:
                 raise RuntimeError("no local test up to the full column set")
         else:
-            new_length = len(_reduce(redundant, target))
+            while (bit := redundant(target)) is not None:
+                target ^= bit
+            new_length = target.bit_count()
         corrections.append(Correction(t_ob + length, t_ob + new_length, reason))
         length = new_length
 
-    stats = SearchStats(
-        class_count=len(class_set.classes),
-        free_columns=n_free,
-        candidates_checked=candidates,
-        sweep_checked=sweep_checked,
-        pruned_by_seeds=pruned_by_seeds,
-        pruned_by_pairs=pruned_by_pairs,
-        lengths_visited=tuple(visited),
-        cycle_cost=cycle_cost,
-    )
-    return length, tuple(sorted(found)), stats, tuple(corrections)
+    stats.lengths_visited = tuple(visited)
+    columns = class_set.columns
+    tests = [tuple(sorted(columns[p] for p in class_set.positions(x))) for x in found]
+    return length, tuple(sorted(tests)), stats, tuple(corrections)
 
 
 # A search without the heuristic refuses more columns than this.

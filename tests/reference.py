@@ -3,12 +3,26 @@
 The library decides every subset in bulk (pruning._scan_size) and names a
 colliding row pair only where it certifies a test (is_deadend).  The
 plain forms here scan rows one subset at a time, so that those decisions
-can be compared with their definitions.
+can be compared with their definitions.  The scan and the local dead-end
+verdict speak view masks; labels turns one back into column labels.
 """
 
 from dataclasses import dataclass
 
-from mintest import ClassSet, ColumnSet, iter_subsets_colex
+from mintest import ClassSet, ColumnSet, is_deadend, iter_subsets_colex
+
+
+def labels(class_set: ClassSet, mask: int) -> ColumnSet:
+    """The column labels of a view mask, in view order."""
+    return tuple(class_set.columns[p] for p in class_set.positions(mask))
+
+
+def deadend_reduce(matrix, columns) -> ColumnSet:
+    """Strip the redundant column is_deadend names, the highest-indexed
+    one, until it names none."""
+    while (column := is_deadend(matrix, columns).redundant) is not None:
+        columns = tuple(c for c in columns if c != column)
+    return columns
 
 
 def first_collision(class_set: ClassSet, columns) -> tuple[str, tuple[int, int]] | None:

@@ -123,6 +123,31 @@ class TestAnalyze:
         assert code == 0
         assert out.endswith("multiplicity seeds (k=2, p>=3):\n  (1,2) -> M1: (1,2,3)\n")
 
+    def test_class_set_seed_columns_ascend(self, capsys, tmp_path):
+        """A seed lists its column labels in ascending order, whatever
+        the order of the 'columns:' header."""
+        path = tmp_path / "classes.txt"
+        path.write_text("columns: 9 1 5 2\nclass\n1: 0000\n2: 0001\n3: 0010\n4: 1111\n")
+        code, out, _ = run(
+            capsys, "analyze", "--input", str(path), "--seeds", "--seed-size", "2"
+        )
+        assert code == 0
+        assert out.endswith("multiplicity seeds (k=2, p>=3):\n  (1,9) -> M1: (1,2,3)\n")
+
+    def test_class_keys_follow_the_sorted_mandatory_labels(self, capsys, tmp_path):
+        """The mandatory labels print sorted, and each class key's bits are
+        reordered with them: class 10 under 'mandatory: 7 3' has column 7
+        set, so it reads 01 over the columns 3 7."""
+        path = tmp_path / "classes.txt"
+        path.write_text(
+            "columns: 1 5\nmandatory: 7 3\n"
+            "class 10\n1: 10\n2: 01\nclass 01\n3: 11\n4: 00\n"
+        )
+        code, out, _ = run(capsys, "analyze", "--input", str(path))
+        assert code == 0
+        assert "mandatory columns of the parent matrix: 3 7\n" in out
+        assert "  M1 [01] rows: 1 2\n  M2 [10] rows: 3 4\n" in out
+
     def test_missing_file_exit_1(self, capsys):
         code, _, err = run(capsys, "analyze", "--input", "/nope/missing.txt")
         assert code == 1
@@ -234,6 +259,18 @@ class TestEnumerate:
         )
         assert code == 0
         assert "local minimal test length: 0" in out
+
+    def test_class_set_columns_out_of_order(self, capsys, tmp_path):
+        """Local tests list their labels in ascending order, as the
+        integral tests do, when the 'columns:' header does not ascend."""
+        path = tmp_path / "classes.txt"
+        path.write_text("columns: 9 1 5\nclass\n1: 100\n2: 010\n3: 001\n4: 111\n")
+        code, out, _ = run(capsys, "enumerate", "--input", str(path), "--json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["local_tests"] == doc["integral_tests"] == [[1, 5], [1, 9], [5, 9]]
+        code, out, _ = run(capsys, "enumerate", "--input", str(path))
+        assert "local minimal tests: (1,5); (1,9); (5,9)\n" in out
 
     def test_class_set_input(self, capsys):
         code, out, _ = run(capsys, "enumerate", "--input", "m8_local")
@@ -376,6 +413,15 @@ class TestGenAndBench:
     def test_gen_pigeonhole_exit_1(self, capsys):
         code, _, err = run(capsys, "gen", "--rows", "3", "--cols", "1")
         assert code == 1
+
+    def test_bench_pigeonhole_exit_1(self, capsys):
+        """A shape with more rows than distinct rows exist is refused up
+        front, as gen refuses it, with no CSV."""
+        code, out, err = run(
+            capsys, "bench", "--rows", "3", "--cols", "1", "--count", "3", "--deterministic"
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: 3 distinct rows impossible with 1 columns (limit 2)\n"
 
     def test_gen_one_row_exit_1(self, capsys):
         code, out, err = run(capsys, "gen", "--rows", "1", "--cols", "3")

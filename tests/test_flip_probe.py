@@ -32,7 +32,7 @@ from mintest import (
     sort_rows_by_binary_value,
 )
 from mintest.pruning import _local_verdict
-from reference import candidate_pairs, is_local_test
+from reference import candidate_pairs, is_local_test, labels
 
 
 def reference_mandatory(matrix):
@@ -89,11 +89,12 @@ def reference_local_deadend(class_set, columns):
 
 def local_verdicts(class_set, columns):
     """_local_verdict on the subset lattice, then with the lattice cap
-    forced to 0 (the minimal-difference form)."""
-    verdicts = [_local_verdict(class_set, columns)]
+    forced to 0 (the minimal-difference form), each bit as its label."""
+    mask = class_set.mask(columns)
+    verdicts = [_local_verdict(class_set, mask)]
     with kernel_caps(_LATTICE_WIDTH=0):
-        verdicts.append(_local_verdict(class_set, columns))
-    return verdicts
+        verdicts.append(_local_verdict(class_set, mask))
+    return [None if bit is None else labels(class_set, bit)[0] for bit in verdicts]
 
 
 def bitset_side(matrix):

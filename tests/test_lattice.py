@@ -128,9 +128,10 @@ def verdict_cases(draw):
 @given(verdict_cases())
 def test_lattice_verdict_equals_the_rank_set_verdict(case):
     class_set, tests = case
-    on_lattice = [_local_verdict(class_set, t) for t in tests]
+    masks = [class_set.mask(t) for t in tests]
+    on_lattice = [_local_verdict(class_set, x) for x in masks]
     with mock.patch.object(pruning, "_LATTICE_WIDTH", 0):
-        assert [_local_verdict(class_set, t) for t in tests] == on_lattice
+        assert [_local_verdict(class_set, x) for x in masks] == on_lattice
 
 
 def one_class(width, rows, seed):

@@ -430,6 +430,8 @@ def class_set_files(draw):
     if total_rows is not None:
         lines.append(f"parent-rows: {total_rows}")
     key_width = len(mandatory or ())
+    # parsed keys follow the sorted mandatory labels, bit by bit
+    order = sorted(range(key_width), key=(mandatory or ()).__getitem__)
     classes = []
     for i, size in enumerate(sizes):
         key = tuple(draw(st.lists(st.integers(0, 1), min_size=key_width, max_size=key_width)))
@@ -437,7 +439,8 @@ def class_set_files(draw):
             draw(st.lists(st.integers(0, (1 << width) - 1), min_size=size, max_size=size, unique=True))
         )
         labs = tuple(next(row_labels) for _ in rows)
-        classes.append(ClassView(name=f"M{i + 1}", key=key, row_labels=labs, rows=rows))
+        sorted_key = tuple(key[j] for j in order)
+        classes.append(ClassView(name=f"M{i + 1}", key=sorted_key, row_labels=labs, rows=rows))
         lines.append(("class " + "".join(map(str, key))).rstrip())
         lines.extend(f"{lab}: {row:0{width}b}" for lab, row in zip(labs, rows))
     class_set = ClassSet(

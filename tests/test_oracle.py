@@ -1,7 +1,11 @@
+import ast
+from pathlib import Path
+
 import pytest
 
 from conftest import Q25_MINIMAL_TESTS, random_matrix
 
+import mintest.oracle
 from mintest import (
     OracleCeilingError,
     is_test,
@@ -9,6 +13,19 @@ from mintest import (
     oracle_minimal_tests,
     parse_matrix,
 )
+
+
+def test_oracle_imports_only_the_matrix_module():
+    """The exhaustive reference validates the rest of the package, so it
+    may rest on nothing of it but the matrix type."""
+    tree = ast.parse(Path(mintest.oracle.__file__).read_text(encoding="utf-8"))
+    package = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module == "mintest"):
+            package.add("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            package.update(a.name for a in node.names if a.name.startswith("mintest"))
+    assert package == {".matrix"}
 
 
 class TestMinimalOracle:

@@ -27,6 +27,8 @@ from test_scan_kernel import (
     SEEDED,
     assert_scans_agree,
     forced_caps,
+    labelled,
+    mask_stop,
     paired_positions,
     random_class_set,
     reference_scan,
@@ -106,17 +108,14 @@ def assert_count_all_counts_past_the_hit():
         pairs = paired_positions(cs)
         for size in range(len(cs.columns) + 1):
             for name, stop in stops(cs).items():
-                scan = _scan_size(cs, size, True, pairs, stop, count_all=True)
+                masks = _scan_size(cs, size, True, pairs, mask_stop(cs, stop), count_all=True)
+                scan = labelled(cs, masks)
                 tests, hit, *_ = reference_scan(cs, size, True, True, stop)
-                assert (scan.tests, scan.hit) == (tests, hit), (size, name)
+                assert scan[:2] == (tests, hit), (size, name)
                 *_, checked, seed_skips, pair_skips = reference_scan(
                     cs, size, True, True
                 )
-                assert (scan.checked, scan.seed_skips, scan.pair_skips) == (
-                    checked,
-                    seed_skips,
-                    pair_skips,
-                ), (size, name)
+                assert scan[2:] == (checked, seed_skips, pair_skips), (size, name)
                 hits += hit is not None
     assert hits
 

@@ -35,7 +35,8 @@ from mintest import (
 )
 from mintest.matrix import _paired_positions
 from mintest.pruning import _local_verdict, _scan_size
-from reference import first_collision
+from reference import first_collision, labels
+from test_flip_probe import reference_local_deadend
 
 from test_difference_masks import class_sets
 
@@ -74,18 +75,30 @@ def paired_positions(class_set):
     return _paired_positions([v.rows for v in class_set.classes], len(class_set.columns))
 
 
+def mask_stop(class_set, stop):
+    """A stop on column labels as the stop on view masks the scan takes."""
+    return None if stop is None else lambda mask: stop(labels(class_set, mask))
+
+
+def labelled(class_set, scan):
+    """(tests, hit, checked, seed_skips, pair_skips) of a scan, its view
+    masks as column labels."""
+    hit = None if scan.hit is None else labels(class_set, scan.hit)
+    tests = [labels(class_set, mask) for mask in scan.tests]
+    return tests, hit, scan.checked, scan.seed_skips, scan.pair_skips
+
+
 def kernel_scan(class_set, size, seeds, pairs, stop=None):
     pairs = paired_positions(class_set) if pairs else None
-    scan = _scan_size(class_set, size, seeds, pairs, stop)
-    return scan.tests, scan.hit, scan.checked, scan.seed_skips, scan.pair_skips
+    scan = _scan_size(class_set, size, seeds, pairs, mask_stop(class_set, stop))
+    return labelled(class_set, scan)
 
 
 def stops(class_set):
-    return {
-        "none": None,
-        "first": lambda test: True,
-        "first-not-deadend": lambda test: _local_verdict(class_set, test) is not None,
-    }
+    def not_deadend(test):
+        return _local_verdict(class_set, class_set.mask(test)) is not None
+
+    return {"none": None, "first": lambda test: True, "first-not-deadend": not_deadend}
 
 
 def assert_scans_agree(class_set):
@@ -218,6 +231,29 @@ def test_forced_caps_reach_their_code(monkeypatch, rank_sets, fallback):
             pass
 
 
+@pytest.mark.parametrize("width", [pruning._LATTICE_WIDTH, 0], ids=["lattice", "rank-sets"])
+def test_scan_and_verdict_speak_view_masks(monkeypatch, width):
+    """The scan's tests and hit are view masks, and the verdict returns
+    the single bit of the redundant column last in view order, or None."""
+    monkeypatch.setattr(pruning, "_LATTICE_WIDTH", width)
+    cs = SEEDED[1]
+    full = (1 << len(cs.columns)) - 1
+    bits = 0
+    for size in range(len(cs.columns) + 1):
+        scan = _scan_size(cs, size, False, None, lambda mask: True, count_all=True)
+        assert all(type(x) is int and x.bit_count() == size for x in scan.tests)
+        assert scan.hit is None or scan.hit == scan.tests[0]
+    for x in _scan_size(cs, len(cs.columns) - 1, False, None).tests + [full]:
+        bit = _local_verdict(cs, x)
+        assert bit is None or (bit.bit_count() == 1 and bit & x)
+        want = reference_local_deadend(cs, labels(cs, x))
+        assert (None if bit is None else labels(cs, bit)) == (
+            None if want is None else (want,)
+        )
+        bits += bit is not None
+    assert bits
+
+
 def test_scan_caps_live_in_pruning_alone():
     for module in (search, mandatory):
         for name in ("_LATTICE_WIDTH", "_TRIPLE_MASK_CAP", "_BLOCK", "_LATTICES"):
@@ -257,7 +293,7 @@ def test_single_row_classes_make_every_set_a_test(monkeypatch):
         monkeypatch.setattr(pruning, "_LATTICE_WIDTH", width)
         for size in range(4):
             scan = _scan_size(cs, size, True, None)
-            assert scan.tests == list(iter_subsets_colex(cs.columns, size))
+            assert labelled(cs, scan)[0] == list(iter_subsets_colex(cs.columns, size))
         assert_scans_agree(cs)
 
 

@@ -6,6 +6,7 @@ from functools import partial
 import pytest
 
 from conftest import Q25_MINIMAL_TESTS, random_matrix
+from reference import deadend_reduce, labels
 from test_search_pins import PINS, TOGGLES
 
 import mintest.search
@@ -73,11 +74,6 @@ class TestIsDeadend:
                 others = [c for c in range(1, 7) if c not in t]
                 if others:
                     assert not is_deadend(m, t + (others[0],)).ok
-
-
-def deadend_reduce(matrix, columns):
-    """Strip redundant columns, highest first, by the rule of the search."""
-    return mintest.search._reduce(lambda c: is_deadend(matrix, c).redundant, columns)
 
 
 class TestDeadendReduce:
@@ -253,9 +249,9 @@ class TestDeadendChecksOnce:
         real = mintest.search._local_verdict
         calls = Counter()
 
-        def counting(class_set, columns):
-            calls[tuple(columns)] += 1
-            return real(class_set, columns)
+        def counting(class_set, mask):
+            calls[mask] += 1
+            return real(class_set, mask)
 
         monkeypatch.setattr(mintest.search, "_local_verdict", counting)
         for seed_prune, pair_prune in TOGGLES:
@@ -331,8 +327,11 @@ class TestLocalEnumeration:
     def test_local_deadend_reduce(self, m8):
         # the reduction the correction loop applies to a jump target
         verdict = partial(mintest.search._local_verdict, m8)
-        assert mintest.search._reduce(verdict, (1, 5, 8, 9)) == (1, 5)
-        assert verdict((1, 5)) is None
+        target = m8.mask((1, 5, 8, 9))
+        while (bit := verdict(target)) is not None:
+            target ^= bit
+        assert labels(m8, target) == (1, 5)
+        assert verdict(m8.mask((1, 5))) is None
 
 
 class TestVerify:
