@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+import warnings
 from dataclasses import asdict
 from itertools import product
 
@@ -82,12 +84,21 @@ def _generator_config(
         raise MatrixFormatError(str(exc)) from None
 
 
-def _emit(args, text: str) -> None:
-    if getattr(args, "output", None):
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
-    else:
-        print(text)
+def _emit(path: str | None, text: str) -> None:
+    """The one writer of results: the file at `path`, or stdout.  A reader
+    that closes stdout early ends the listing quietly; stdout then points
+    at the null device, so that the exit flush cannot fail again."""
+    text = text if text.endswith("\n") else text + "\n"
+    if path:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        return
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(devnull := os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _columns_str(columns) -> str:
@@ -115,6 +126,21 @@ def _estimate_lines(title: str, est) -> list[str]:
         f"  bracket: {est.beta_t:.7f} > {est.threshold:.7f} >= {est.beta_next:.7f}"
     )
     return lines
+
+
+def _class_docs(cs: ClassSet | None) -> list[dict]:
+    """The classes of a class set, or of a matrix's class views."""
+    return [
+        {"name": v.name, "key": "".join(map(str, v.key)), "members": list(v.row_labels)}
+        for v in (cs.classes if cs else ())
+    ]
+
+
+def _class_lines(cs: ClassSet | None) -> list[str]:
+    return [
+        f"  {d['name']} [{d['key']}] rows: " + " ".join(map(str, d["members"]))
+        for d in _class_docs(cs)
+    ]
 
 
 def _seed_docs(cs: ClassSet, k: int) -> list[dict]:
@@ -161,10 +187,7 @@ def _cmd_analyze(args) -> int:
                 str(c): [list(p) for p in ws]
                 for c, ws in mandatory.witnesses.items()
             },
-            "classes": [
-                {"name": c.name, "key": c.key_string, "members": list(c.members)}
-                for c in partition.classes
-            ],
+            "classes": _class_docs(cs),
             "dropped_singletons": list(partition.dropped_singletons),
             "within_pair_total": partition.within_pair_total,
             "undistinguished_pairs": list(stats.undistinguished),
@@ -176,7 +199,7 @@ def _cmd_analyze(args) -> int:
         }
         if args.seeds and cs:
             doc["seeds"] = _seed_docs(cs, args.seed_size)
-        _emit(args, json.dumps(doc, indent=2, sort_keys=True))
+        _emit(args.output, json.dumps(doc, indent=2, sort_keys=True))
         return EXIT_OK
 
     lines = [
@@ -195,9 +218,7 @@ def _cmd_analyze(args) -> int:
         f"({' '.join(str(c) for c in mandatory.columns) or '-'}):"
     )
     free = cs.columns if cs else ()
-    for cls in partition.classes:
-        lines.append(f"  {cls.name} [{cls.key_string}] rows: "
-                     + " ".join(str(x) for x in cls.members))
+    lines.extend(_class_lines(cs))
     if partition.dropped_singletons:
         lines.append(
             "  singletons dropped: "
@@ -233,7 +254,7 @@ def _cmd_analyze(args) -> int:
         )
     if args.seeds and cs:
         lines.extend(_seed_lines(cs, args.seed_size))
-    _emit(args, "\n".join(lines))
+    _emit(args.output, "\n".join(lines))
     return EXIT_OK
 
 
@@ -245,18 +266,11 @@ def _analyze_class_set(args, cs: ClassSet) -> int:
             "parent_rows": cs.total_rows,
             "within_pair_total": cs.within_pair_total,
             "parent_pair_total": cs.parent_pair_total,
-            "classes": [
-                {
-                    "name": v.name,
-                    "key": "".join(str(b) for b in v.key),
-                    "members": list(v.row_labels),
-                }
-                for v in cs.classes
-            ],
+            "classes": _class_docs(cs),
         }
         if args.seeds:
             doc["seeds"] = _seed_docs(cs, args.seed_size)
-        _emit(args, json.dumps(doc, indent=2, sort_keys=True))
+        _emit(args.output, json.dumps(doc, indent=2, sort_keys=True))
         return EXIT_OK
     lines = [
         f"class set: {len(cs.classes)} classes over columns "
@@ -264,20 +278,16 @@ def _analyze_class_set(args, cs: ClassSet) -> int:
         "mandatory columns of the parent matrix: "
         + (" ".join(str(c) for c in cs.mandatory) or "(unknown)"),
     ]
-    for view in cs.classes:
-        key = "".join(str(b) for b in view.key)
-        lines.append(f"  {view.name} [{key}] rows: "
-                     + " ".join(str(x) for x in view.row_labels))
-    total = cs.parent_pair_total
-    lines.append(f"pairs left inside classes: {cs.within_pair_total}")
+    lines.extend(_class_lines(cs))
+    total, left = cs.parent_pair_total, cs.within_pair_total
+    lines.append(f"pairs left inside classes: {left}")
     if total:
-        lines.append(
-            f"parent matrix pairs: {total} "
-            f"(reduction x{total / cs.within_pair_total:.1f})"
-        )
+        # classes of one row each leave no pairs to divide by
+        ratio = f" (reduction x{total / left:.1f})" if left else ""
+        lines.append(f"parent matrix pairs: {total}{ratio}")
     if args.seeds:
         lines.extend(_seed_lines(cs, args.seed_size))
-    _emit(args, "\n".join(lines))
+    _emit(args.output, "\n".join(lines))
     return EXIT_OK
 
 
@@ -290,12 +300,6 @@ def _search_config(args) -> SearchConfig:
     )
 
 
-def _write_tests_csv(path: str, tests) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        for t in tests:
-            fh.write(_columns_str(t) + "\n")
-
-
 def _cmd_enumerate(args) -> int:
     data = _parse_any(_read_input(args.input))
     config = _search_config(args)
@@ -303,7 +307,7 @@ def _cmd_enumerate(args) -> int:
         report = enumerate_local_minimal_tests(data, config)
         tests = report.integral_tests if data.mandatory else report.local_tests
         if args.report:
-            _write_tests_csv(args.report, tests)
+            _emit(args.report, "\n".join(map(_columns_str, tests)))
         if args.json:
             doc = {
                 "local_length": report.local_length,
@@ -315,7 +319,7 @@ def _cmd_enumerate(args) -> int:
                 "parent_pair_total": report.parent_pair_total,
                 "corrections": [asdict(c) for c in report.corrections],
             }
-            _emit(args, json.dumps(doc, indent=2, sort_keys=True))
+            _emit(args.output, json.dumps(doc, indent=2, sort_keys=True))
             return EXIT_OK
         lines = [
             f"local minimal test length: {report.local_length}",
@@ -329,14 +333,14 @@ def _cmd_enumerate(args) -> int:
             )
             for t in report.integral_tests:
                 lines.append(f"  integral test: {_columns_str(t)}")
-        _emit(args, "\n".join(lines))
+        _emit(args.output, "\n".join(lines))
         return EXIT_OK
 
     report = enumerate_minimal_tests(data, config)
     if args.report:
-        _write_tests_csv(args.report, report.minimal_tests)
+        _emit(args.report, "\n".join(map(_columns_str, report.minimal_tests)))
     if args.json:
-        _emit(args, report.to_json())
+        _emit(args.output, report.to_json())
         return EXIT_OK
     lines = [
         f"minimal test length: {report.minimal_length}",
@@ -357,7 +361,7 @@ def _cmd_enumerate(args) -> int:
         f"{st.pruned_by_seeds} pruned by seeds, "
         f"{st.pruned_by_pairs} pruned by paired columns"
     )
-    _emit(args, "\n".join(lines))
+    _emit(args.output, "\n".join(lines))
     return EXIT_OK
 
 
@@ -377,7 +381,7 @@ def _cmd_verify(args) -> int:
         )
     verdict = verify_test(data, columns, oracle_ceiling=args.ceiling)
     if args.json:
-        _emit(args, json.dumps(asdict(verdict), indent=2, sort_keys=True))
+        _emit(args.output, json.dumps(asdict(verdict), indent=2, sort_keys=True))
     else:
         lines = [
             f"columns: {_columns_str(verdict.columns)}",
@@ -388,7 +392,7 @@ def _cmd_verify(args) -> int:
         ]
         if verdict.note:
             lines.append(f"note: {verdict.note}")
-        _emit(args, "\n".join(lines))
+        _emit(args.output, "\n".join(lines))
     return EXIT_OK
 
 
@@ -403,7 +407,7 @@ def _cmd_oracle(args) -> int:
     else:
         result = oracle_minimal_tests(data, n_ceiling=args.ceiling)
     if args.report:
-        _write_tests_csv(args.report, result.minimal_tests)
+        _emit(args.report, "\n".join(map(_columns_str, result.minimal_tests)))
     if args.json:
         doc = {
             "min_length": result.min_length,
@@ -415,7 +419,7 @@ def _cmd_oracle(args) -> int:
             ),
             "subsets_checked": result.subsets_checked,
         }
-        _emit(args, json.dumps(doc, indent=2, sort_keys=True))
+        _emit(args.output, json.dumps(doc, indent=2, sort_keys=True))
         return EXIT_OK
     lines = [
         f"minimal test length: {result.min_length}",
@@ -427,7 +431,7 @@ def _cmd_oracle(args) -> int:
         lines.append(f"dead-end tests: {len(result.deadend_tests)}")
         for t in result.deadend_tests:
             lines.append(f"  {_test_str(t)}")
-    _emit(args, "\n".join(lines))
+    _emit(args.output, "\n".join(lines))
     return EXIT_OK
 
 
@@ -439,7 +443,7 @@ def _cmd_gen(args) -> int:
         f"density={args.density:g} seed={args.seed}"
     ]
     lines.extend(matrix.row_string(lab) for lab in matrix.row_labels)
-    _emit(args, "\n".join(lines))
+    _emit(args.output, "\n".join(lines))
     return EXIT_OK
 
 
@@ -485,12 +489,7 @@ def _cmd_bench(args) -> int:
             workers=args.workers,
         )
         result = run_benchmark(config)
-    text = csv_text(result, args.deterministic)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(args.output, csv_text(result, args.deterministic))
     if args.json:
         print(json.dumps(summarize(result), indent=2, sort_keys=True), file=sys.stderr)
     return EXIT_OK if result.ok else EXIT_MISMATCH
@@ -590,14 +589,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except (MatrixFormatError, UnknownFixtureError, GenerationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (OracleCeilingError, SearchCeilingError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CEILING
+    with warnings.catch_warnings():  # restores an in-process caller's state
+        warnings.showwarning = lambda msg, *_: print(f"warning: {msg}", file=sys.stderr)
+        try:
+            return args.func(args)
+        except (MatrixFormatError, UnknownFixtureError, GenerationError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_INPUT
+        except (OracleCeilingError, SearchCeilingError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_CEILING
 
 
 if __name__ == "__main__":

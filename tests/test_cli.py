@@ -1,13 +1,16 @@
+import ast
 import json
 import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
 import mintest
+import mintest.cli
 from mintest.cli import build_parser, main
 
 
@@ -148,6 +151,22 @@ class TestAnalyze:
         assert "mandatory columns of the parent matrix: 3 7\n" in out
         assert "  M1 [01] rows: 1 2\n  M2 [10] rows: 3 4\n" in out
 
+    def test_class_set_with_no_pairs_left(self, capsys, tmp_path):
+        """Classes of one row each leave no pairs, so there is no
+        reduction ratio to print."""
+        path = tmp_path / "classes.txt"
+        path.write_text("columns: 1 2\nparent-rows: 5\nclass\n1: 01\nclass\n2: 10\n")
+        code, out, err = run(capsys, "analyze", "--input", str(path))
+        assert (code, err) == (0, "")
+        assert out.endswith("pairs left inside classes: 0\nparent matrix pairs: 10\n")
+
+    def test_paired_columns_line(self, capsys, tmp_path):
+        path = tmp_path / "m.txt"
+        path.write_text("010\n100\n011\n")  # column 2 complements column 1
+        code, out, _ = run(capsys, "analyze", "--input", str(path))
+        assert code == 0
+        assert "\npaired (equal/complementary) columns: (1,2)\n" in out
+
     def test_missing_file_exit_1(self, capsys):
         code, _, err = run(capsys, "analyze", "--input", "/nope/missing.txt")
         assert code == 1
@@ -197,6 +216,27 @@ class TestEnumerate:
         lines = path.read_text().splitlines()
         assert len(lines) == 9
         assert lines[0] == "1,2,4,5,6,8,10"
+
+    @pytest.mark.parametrize(
+        "text,field",
+        [
+            (None, "integral_tests"),
+            ("columns: 1 2 3\nclass\n1: 001\n2: 010\n3: 100\n", "local_tests"),
+        ],
+        ids=["with-mandatory", "without-mandatory"],
+    )
+    def test_report_csv_of_a_class_set(self, capsys, tmp_path, text, field):
+        """A class set's report lists its integral tests, or its local
+        tests when the file names no mandatory columns."""
+        source = "m8_local"
+        if text is not None:
+            source = str(tmp_path / "classes.txt")
+            Path(source).write_text(text)
+        path = tmp_path / "tests.csv"
+        code, out, _ = run(capsys, "enumerate", "--input", source, "--json", "--report", str(path))
+        assert code == 0
+        expected = "".join(",".join(map(str, t)) + "\n" for t in json.loads(out)[field])
+        assert expected and path.read_text() == expected
 
     def test_json(self, capsys):
         code, out, _ = run(capsys, "enumerate", "--input", "q25x10", "--json")
@@ -520,6 +560,18 @@ class TestGenAndBench:
         assert summary["mismatches"] == 0
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["verify", "--test", "1"], "verify needs a full matrix input"),
+        (["oracle"], "the oracle needs a full matrix input"),
+    ],
+)
+def test_matrix_verbs_refuse_a_class_set(capsys, argv, message):
+    code, out, err = run(capsys, *argv, "--input", "m8_local")
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 class TestUsageErrors:
     """A malformed command line is an input error (exit 1); argparse's
     own 2 would read as a verification mismatch."""
@@ -662,3 +714,85 @@ def tiny3x2_file(tmp_path):
     path = tmp_path / "tiny.txt"
     path.write_text("00\n01\n10\n")
     return str(path)
+
+
+def run_module(*argv, **kwargs):
+    """`python -m mintest` from the source tree, in a child process."""
+    source = str(Path(mintest.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=source)
+    return subprocess.Popen(
+        [sys.executable, "-m", "mintest", *argv], env=env, **kwargs
+    )
+
+
+def test_a_closed_pipe_ends_the_listing_quietly():
+    """A reader that stops after one line, as `| head -1` does, ends the
+    listing without a traceback and with the verb's own exit code.  The
+    matrix is larger than a pipe buffer, so the writer sees the close."""
+    proc = run_module(
+        "gen", "--rows", "20000", "--cols", "20", "--seed", "1",
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline().startswith(b"# generated: rows=20000")
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (0, b"")
+
+
+def test_a_library_warning_is_one_stderr_line(tmp_path):
+    """In a child process, since the pytest configuration ignores this
+    warning; in process, main restores the caller's warning display."""
+    path = tmp_path / "m.txt"
+    path.write_text("001\n111\n000\n")
+    proc = run_module(
+        "analyze", "--input", str(path),
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+    )
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (0, "warning: columns 1 and 2 are identical\n")
+    shown = warnings.showwarning
+    assert main(["analyze", "--input", str(path), "--output", str(tmp_path / "a")]) == 0
+    assert warnings.showwarning is shown
+
+
+def writes_outside_emit(tree):
+    """The calls that could write a result, other than those in _emit: a
+    print not sent to sys.stderr, a .write() and an open() for writing."""
+    (emit,) = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "_emit"
+    ]
+    inside = set(map(id, ast.walk(emit)))
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call) or id(node) in inside:
+            continue
+        func = ast.unparse(node.func)
+        keywords = {k.arg: ast.unparse(k.value) for k in node.keywords}
+        if func == "print" and keywords.get("file") != "sys.stderr":
+            found.append(ast.unparse(node))
+        elif func.endswith(".write"):
+            found.append(ast.unparse(node))
+        elif func == "open":
+            mode = node.args[1] if len(node.args) > 1 else None
+            mode = ast.unparse(mode) if mode else keywords.get("mode", "'r'")
+            if set(mode.strip("'\"")) - {"r", "b", "t"}:
+                found.append(ast.unparse(node))
+    return found
+
+
+def test_only_emit_writes_results():
+    """Every result leaves the CLI through _emit, the one writer that
+    handles a closed pipe; stderr is for errors and warnings."""
+    tree = ast.parse(Path(mintest.cli.__file__).read_text(encoding="utf-8"))
+    assert writes_outside_emit(tree) == []
+    # the walk sees a writer where there is one
+    planted = ast.parse(
+        "def _emit(path, text):\n    print(text)\n"
+        "def f(path, text):\n    print(text)\n    sys.stdout.write(text)\n"
+        "    open(path, 'w')\n    open(path, mode='a')\n    open(path)\n"
+        "    print(text, file=sys.stderr)\n"
+    )
+    assert writes_outside_emit(planted) == [
+        "print(text)", "sys.stdout.write(text)", "open(path, 'w')", "open(path, mode='a')"
+    ]

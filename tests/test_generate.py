@@ -42,6 +42,13 @@ class TestGenerateMatrix:
         with pytest.raises(GenerationError):
             generate_matrix(GeneratorConfig(rows=3, cols=1, seed=0))
 
+    def test_redraws_run_out(self):
+        # 4 distinct rows of 2 bits need the row 11, which density 0.01
+        # draws once in 10,000 tries; seed 1 does not within the budget.
+        config = GeneratorConfig(rows=4, cols=2, ones_density=0.01, seed=1)
+        with pytest.raises(GenerationError, match="^could not draw 4 distinct rows "):
+            generate_matrix(config)
+
     def test_output_passes_load_invariants(self):
         m = generate_matrix(GeneratorConfig(rows=25, cols=10, ones_density=0.5, seed=9))
         text = "\n".join(m.row_string(lab) for lab in m.row_labels)

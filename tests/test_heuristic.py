@@ -7,10 +7,12 @@ from mintest import (
     BooleanMatrix,
     ClassSet,
     ClassView,
+    ColumnPairStats,
     class_views,
     column_pair_stats,
     estimate_length,
     integral_length,
+    parse_class_set,
     parse_matrix,
     partition_by_mandatory,
     sort_rows_by_binary_value,
@@ -48,6 +50,11 @@ class TestColumnPairStats:
         m = BooleanMatrix(col_count=2, rows=(0b01,), row_labels=(1,))
         with pytest.raises(ValueError):
             column_pair_stats(m)
+
+    def test_union_of_one_row_rejected(self):
+        cs = parse_class_set("columns: 1 2\nclass\n1: 01\n")
+        with pytest.raises(ValueError, match="^class union needs at least two rows$"):
+            union_pair_stats(cs)
 
     @settings(max_examples=80, deadline=None)
     @given(st.integers(1, 70), st.data())
@@ -115,6 +122,29 @@ class TestEstimateLength:
         est = estimate_length(column_pair_stats(parse_matrix("0\n1\n")))
         assert est.t0 == 1
         assert est.degenerate
+
+    @pytest.mark.parametrize(
+        "columns,total_pairs,undistinguished,message",
+        [
+            ((1,), 0, (0,), "need at least one row pair"),
+            ((), 1, (), "no column distinguishes any pair"),
+            ((1, 2), 3, (3, 3), "no column distinguishes any pair"),
+        ],
+    )
+    def test_refuses_stats_without_a_bracket(
+        self, columns, total_pairs, undistinguished, message
+    ):
+        stats = ColumnPairStats(
+            columns=columns,
+            row_count=3,
+            total_pairs=total_pairs,
+            ones=(0,) * len(columns),
+            zeros=(3,) * len(columns),
+            distinguished=(0,) * len(columns),
+            undistinguished=undistinguished,
+        )
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            estimate_length(stats)
 
     def test_beta_strictly_decreasing(self, q25):
         est = estimate_length(column_pair_stats(q25))

@@ -16,6 +16,7 @@ from mintest import (
     enumerate_local_minimal_tests,
     find_mandatory,
     is_test,
+    load_class_set,
     oracle_minimal_tests,
     parse_class_set,
     parse_matrix,
@@ -393,6 +394,28 @@ class TestClassSetParsing:
         with pytest.raises(MatrixFormatError) as info:
             parse_class_set("columns: 1 2\n" + text + "\n")
         assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("columns: 1 2\nclass 0\nclass 1\n1: 01\n", "class with no rows"),
+            ("columns: 1 2\nclass 0\n1: 01\nclass 1\n", "class with no rows"),
+            ("columns: 1 2\nclass 1x\n1: 01\n", "line 2: bad class key '1x'"),
+            ("class 0\n1: 01\ncolumns: 1 2\n", "row before 'columns:' header"),
+            ("columns: 1 2\nparent-rows: 5\n", "class-set file needs a 'columns:' header and classes"),
+            ("parent-rows: 5\nmandatory: 3\n", "class-set file needs a 'columns:' header and classes"),
+        ],
+    )
+    def test_rejects_missing_parts(self, text, message):
+        with pytest.raises(MatrixFormatError) as info:
+            parse_class_set(text)
+        assert str(info.value) == message
+
+    def test_load_class_set_reads_a_file(self, tmp_path):
+        text = "columns: 1 2\nmandatory: 3\nclass 0\n1: 01\n2: 10\n"
+        path = tmp_path / "cs.txt"
+        path.write_text(text, encoding="utf-8")
+        assert load_class_set(path) == parse_class_set(text)
 
     def test_parent_rows_may_equal_class_rows(self):
         cs = parse_class_set("columns: 1 2\nparent-rows: 2\nclass 0\n1: 01\n2: 10\n")

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import pytest
@@ -8,6 +9,7 @@ from mintest import (
     DuplicateColumnWarning,
     MatrixFormatError,
     is_test,
+    load_matrix,
     pair_count,
     parse_matrix,
     sort_rows_by_binary_value,
@@ -181,6 +183,19 @@ class TestParsing:
         with pytest.raises(ValueError, match="^row value out of range for col_count$"):
             BooleanMatrix(col_count=2, rows=rows, row_labels=(1, 2))
 
+    @pytest.mark.parametrize(
+        "col_count,rows,row_labels,message",
+        [
+            (0, (), (), "matrix needs at least one column"),
+            (2, (1, 2), (1,), "rows and row_labels differ in length"),
+            (2, (1, 2), (1, 3), "row_labels must be a permutation of 1..m"),
+            (2, (1, 1), (1, 2), "rows must be pairwise distinct"),
+        ],
+    )
+    def test_constructor_checks(self, col_count, rows, row_labels, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            BooleanMatrix(col_count=col_count, rows=rows, row_labels=row_labels)
+
     def test_rows_at_the_range_ends_and_no_rows_accepted(self):
         assert BooleanMatrix(col_count=2, rows=(0b11, 0), row_labels=(1, 2)).rows
         assert BooleanMatrix(col_count=2, rows=(), row_labels=()).row_count == 0
@@ -188,6 +203,16 @@ class TestParsing:
     def test_fixture_loads(self, q25):
         assert (q25.row_count, q25.col_count) == (25, 10)
         assert q25.row_labels == tuple(range(1, 26))
+
+    def test_load_matrix_reads_a_file(self, tmp_path):
+        path = tmp_path / "m.txt"
+        path.write_text("# three rows\n011\n101\n110\n", encoding="utf-8")
+        assert load_matrix(path) == parse_matrix("011\n101\n110\n")
+
+    @pytest.mark.parametrize("column", [0, 3])
+    def test_cell_out_of_range(self, tiny3x2, column):
+        with pytest.raises(ValueError, match=f"^column {column} out of range 1..2$"):
+            tiny3x2.cell(1, column)
 
 
 def popcounts(matrix):
