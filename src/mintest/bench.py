@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 from .generate import GenerationError, GeneratorConfig, derive_seeds, generate_matrix
 from .matrix import BooleanMatrix
 from .mandatory import class_views, find_mandatory, partition_by_mandatory
-from .oracle import oracle_minimal_tests
+from .oracle import MINIMAL_CEILING, oracle_minimal_tests
 from .search import SearchConfig, enumerate_local_minimal_tests
 
 CSV_COLUMNS = (
@@ -60,7 +60,7 @@ class StreamConfig:
     densities: tuple[float, ...] = (0.3, 0.5, 0.7)
     seed: int = 0
     deterministic: bool = False
-    oracle_ceiling: int = 22
+    oracle_ceiling: int = MINIMAL_CEILING
     workers: int = 1
 
 
@@ -118,7 +118,7 @@ def bench_matrix(
     index: int = 0,
     seed: int = 0,
     density: float = 0.0,
-    oracle_ceiling: int = 22,
+    oracle_ceiling: int = MINIMAL_CEILING,
 ) -> ExperimentRecord:
     """One benchmark record for an already-built matrix: the analysis
     once, then the pruned and the unpruned search on its class set."""

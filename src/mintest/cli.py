@@ -29,7 +29,13 @@ from .mandatory import (
     partition_by_mandatory,
 )
 from .matrix import BooleanMatrix, MatrixFormatError, parse_matrix
-from .oracle import OracleCeilingError, oracle_deadend_tests, oracle_minimal_tests
+from .oracle import (
+    DEADEND_CEILING,
+    MINIMAL_CEILING,
+    OracleCeilingError,
+    oracle_deadend_tests,
+    oracle_minimal_tests,
+)
 from .pruning import ClassSet, bijective_column_pairs, multiplicity_seeds
 from .search import (
     SearchCeilingError,
@@ -305,9 +311,8 @@ def _cmd_enumerate(args) -> int:
     config = _search_config(args)
     if isinstance(data, ClassSet):
         report = enumerate_local_minimal_tests(data, config)
-        tests = report.integral_tests if data.mandatory else report.local_tests
         if args.report:
-            _emit(args.report, "\n".join(map(_columns_str, tests)))
+            _emit(args.report, "\n".join(map(_columns_str, report.integral_tests)))
         if args.json:
             doc = {
                 "local_length": report.local_length,
@@ -515,10 +520,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, input_required=True):
+    def add_common(p):
         p.add_argument(
             "--input",
-            required=input_required,
+            required=True,
             help="matrix or class-set file, or a bundled fixture name",
         )
         p.add_argument("--output", help="write the result to this file")
@@ -550,14 +555,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check one column set")
     add_common(p)
     p.add_argument("--test", required=True, help="column list, e.g. 1,2,4,5,6,8,10")
-    p.add_argument("--ceiling", type=int, default=22, help="oracle column ceiling")
+    p.add_argument("--ceiling", type=int, default=MINIMAL_CEILING, help="oracle column ceiling")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("oracle", help="exhaustive enumeration (ground truth)")
     add_common(p)
     p.add_argument("--deadend", action="store_true", help="also list dead-end tests")
-    p.add_argument("--ceiling", type=int, default=22)
-    p.add_argument("--ceiling-deadend", type=int, default=16)
+    p.add_argument("--ceiling", type=int, default=MINIMAL_CEILING)
+    p.add_argument("--ceiling-deadend", type=int, default=DEADEND_CEILING)
     p.add_argument("--report", help="CSV file: one minimal test per line")
     p.set_defaults(func=_cmd_oracle)
 
@@ -576,7 +581,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--densities", type=float, nargs="+", default=[0.3, 0.5, 0.7])
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--deterministic", action="store_true")
-    p.add_argument("--oracle-ceiling", type=int, default=22)
+    p.add_argument("--oracle-ceiling", type=int, default=MINIMAL_CEILING)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--fixture", help="replay a bundled matrix fixture as a 1-record stream")
     p.add_argument("--output", help="write the CSV to this file")

@@ -58,10 +58,6 @@ class PartitionClass:
         return f"Q{self.ordinal}"
 
     @property
-    def key_string(self) -> str:
-        return "".join(str(b) for b in self.key)
-
-    @property
     def size(self) -> int:
         return len(self.members)
 

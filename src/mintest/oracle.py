@@ -16,6 +16,11 @@ from typing import Iterator, Sequence
 from .matrix import BooleanMatrix, ColumnSet
 
 
+# Default ceilings, in columns: the widest matrix each exhaustive scan takes.
+MINIMAL_CEILING = 22
+DEADEND_CEILING = 16
+
+
 class OracleCeilingError(RuntimeError):
     """Matrix too wide for exhaustive enumeration with the given ceiling."""
 
@@ -51,7 +56,7 @@ def _check_ceiling(matrix: BooleanMatrix, n_ceiling: int, what: str) -> None:
 
 
 def oracle_minimal_tests(
-    matrix: BooleanMatrix, n_ceiling: int = 22
+    matrix: BooleanMatrix, n_ceiling: int = MINIMAL_CEILING
 ) -> OracleResult:
     """All minimal tests by ascending-size subset enumeration."""
     _check_ceiling(matrix, n_ceiling, "minimal-test")
@@ -77,7 +82,7 @@ def oracle_minimal_tests(
 
 
 def oracle_deadend_tests(
-    matrix: BooleanMatrix, n_ceiling: int = 16
+    matrix: BooleanMatrix, n_ceiling: int = DEADEND_CEILING
 ) -> OracleResult:
     """All dead-end tests: tests whose every one-smaller subset fails.
 

@@ -61,12 +61,14 @@ from .matrix import (
     is_test,
     normalize_columns,
 )
-from .oracle import OracleCeilingError, oracle_minimal_tests
+from .oracle import MINIMAL_CEILING, OracleCeilingError, oracle_minimal_tests
 from .pruning import ClassSet, CycleCost, _local_verdict, _scan_size, cycle_costs
 
 
 class SearchCeilingError(RuntimeError):
-    """Exhaustive search refused: too many columns without the heuristic."""
+    """Exhaustive search refused: without the heuristic, a class set of more
+    free columns (those left after the mandatory ones) than the ceiling.
+    A negative start is refused earlier, by SearchConfig, as a ValueError."""
 
 
 @dataclass(frozen=True)
@@ -78,6 +80,10 @@ class SearchConfig:
     pair_prune: bool = True
     first_only: bool = False
     initial_length: int | None = None
+
+    def __post_init__(self) -> None:
+        if self.initial_length is not None and self.initial_length < 0:
+            raise ValueError(f"initial_length cannot be negative: {self.initial_length}")
 
 
 @dataclass(slots=True)
@@ -209,7 +215,7 @@ def is_deadend(matrix: BooleanMatrix, columns: Iterable[int]) -> DeadendCheck:
 def verify_test(
     matrix: BooleanMatrix,
     columns: Iterable[int],
-    oracle_ceiling: int = 22,
+    oracle_ceiling: int = MINIMAL_CEILING,
 ) -> TestVerdict:
     """Structured verdict: test? dead-end? minimal?
 
@@ -348,17 +354,8 @@ def _search_local(
     return length, tuple(sorted(tests)), stats, tuple(corrections)
 
 
-# A search without the heuristic refuses more columns than this.
+# A search without the heuristic refuses a view of more columns than this.
 _NO_HEURISTIC_CEILING = 22
-
-
-def _check_ceiling(columns: int, config: SearchConfig) -> None:
-    """Refuse a heuristic-free search over more columns than the ceiling."""
-    if not config.use_heuristic and columns > _NO_HEURISTIC_CEILING:
-        raise SearchCeilingError(
-            f"{columns} columns exceed the ceiling of "
-            f"{_NO_HEURISTIC_CEILING} for heuristic-free search"
-        )
 
 
 def enumerate_local_minimal_tests(
@@ -370,9 +367,15 @@ def enumerate_local_minimal_tests(
     heuristic estimate over the two largest classes, else at 1.  A class
     set with no class of two rows has no pair to separate: its one
     minimal local test is the empty set, under every configuration, with
-    no estimate and no size scanned.
+    no estimate and no size scanned.  Without the heuristic, a view of
+    more columns than the ceiling is refused before any scan.
     """
-    _check_ceiling(len(class_set.columns), config)
+    n_free = len(class_set.columns)
+    if not config.use_heuristic and n_free > _NO_HEURISTIC_CEILING:
+        raise SearchCeilingError(
+            f"{n_free} columns exceed the ceiling of "
+            f"{_NO_HEURISTIC_CEILING} for heuristic-free search"
+        )
     mand = class_set.mandatory
     estimate = None
     if not class_set.within_pair_total:
@@ -415,7 +418,6 @@ def enumerate_minimal_tests(
     fewer than two rows has the empty test alone, and no whole-matrix
     estimate, since that needs a row pair.
     """
-    _check_ceiling(matrix.col_count, config)
     mandatory = find_mandatory(matrix)
     partition = partition_by_mandatory(matrix, mandatory.columns)
     local = enumerate_local_minimal_tests(class_views(matrix, partition), config)

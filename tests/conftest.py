@@ -61,6 +61,20 @@ def random_matrix(seed, rows=8, cols=6, density=0.5):
     )
 
 
+def flip(row, column):
+    """A matrix row string with one column's bit flipped."""
+    return row[: column - 1] + "10"[int(row[column - 1])] + row[column:]
+
+
+def wide_matrix_lines():
+    """A 14x24 matrix whose columns 1 and 2 are mandatory, leaving 22 free
+    columns: twelve random rows, then row 1 with column 1 flipped and row
+    2 with column 2 flipped.  Its 91 minimal tests have length 5."""
+    base = random_matrix(5, rows=12, cols=24)
+    lines = [base.row_string(label) for label in base.row_labels]
+    return lines + [flip(lines[0], 1), flip(lines[1], 2)]
+
+
 @contextmanager
 def kernel_caps(**caps):
     """Set the subset scan's caps on mintest.pruning (_LATTICE_WIDTH,

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import pytest
 
+from conftest import wide_matrix_lines
+
 import mintest
 import mintest.cli
 from mintest.cli import build_parser, main
@@ -206,6 +208,18 @@ class TestEnumerate:
         assert "minimal test length: 7" in out
         assert "minimal tests: 9" in out
         assert "1,2,4,5,6,8,10 (dead-end)" in out
+
+    def test_no_heuristic_counts_free_columns(self, capsys, tmp_path):
+        """24 columns, 2 of them mandatory: the 22 free ones fit the
+        heuristic-free ceiling."""
+        path = tmp_path / "wide.txt"
+        path.write_text("\n".join(wide_matrix_lines()) + "\n")
+        code, out, err = run(
+            capsys, "enumerate", "--input", str(path), "--no-heuristic"
+        )
+        assert (code, err) == (0, "")
+        assert "minimal test length: 5" in out
+        assert "minimal tests: 91" in out
 
     def test_report_csv(self, capsys, tmp_path):
         path = tmp_path / "tests.csv"

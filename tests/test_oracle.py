@@ -1,4 +1,5 @@
 import ast
+import inspect
 from pathlib import Path
 
 import pytest
@@ -8,11 +9,16 @@ from conftest import Q25_MINIMAL_TESTS, random_matrix
 import mintest.oracle
 from mintest import (
     OracleCeilingError,
+    StreamConfig,
+    bench_matrix,
     is_test,
     oracle_deadend_tests,
     oracle_minimal_tests,
     parse_matrix,
+    verify_test,
 )
+from mintest.cli import build_parser
+from mintest.oracle import DEADEND_CEILING, MINIMAL_CEILING
 
 
 def test_oracle_imports_only_the_matrix_module():
@@ -26,6 +32,49 @@ def test_oracle_imports_only_the_matrix_module():
         elif isinstance(node, ast.Import):
             package.update(a.name for a in node.names if a.name.startswith("mintest"))
     assert package == {".matrix"}
+
+
+def test_every_ceiling_default_is_the_oracle_constant():
+    """The oracle's default ceilings are named once, in oracle.py; every
+    other default reads those names."""
+
+    def default(function, name):
+        return inspect.signature(function).parameters[name].default
+
+    assert default(oracle_minimal_tests, "n_ceiling") == MINIMAL_CEILING
+    assert default(oracle_deadend_tests, "n_ceiling") == DEADEND_CEILING
+    assert default(verify_test, "oracle_ceiling") == MINIMAL_CEILING
+    assert default(bench_matrix, "oracle_ceiling") == MINIMAL_CEILING
+    assert StreamConfig(count=0).oracle_ceiling == MINIMAL_CEILING
+    parse = build_parser().parse_args
+    verify = parse(["verify", "--input", "q25x10", "--test", "1"])
+    assert verify.ceiling == MINIMAL_CEILING
+    oracle = parse(["oracle", "--input", "q25x10"])
+    assert (oracle.ceiling, oracle.ceiling_deadend) == (MINIMAL_CEILING, DEADEND_CEILING)
+    assert parse(["bench"]).oracle_ceiling == MINIMAL_CEILING
+
+    # No default outside oracle.py restates the numbers: function and
+    # dataclass-field defaults, and add_argument(default=...).
+    literals = []
+    package = Path(mintest.oracle.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        if path.name == "oracle.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            defaults = []
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                defaults = node.args.defaults + node.args.kw_defaults
+            elif isinstance(node, ast.ClassDef):
+                defaults = [s.value for s in node.body if isinstance(s, ast.AnnAssign)]
+            elif isinstance(node, ast.Call):
+                if getattr(node.func, "attr", None) == "add_argument":
+                    defaults = [k.value for k in node.keywords if k.arg == "default"]
+            literals += [
+                f"{path.name}:{d.lineno}"
+                for d in defaults
+                if isinstance(d, ast.Constant) and d.value in (16, 22)
+            ]
+    assert literals == []
 
 
 class TestMinimalOracle:

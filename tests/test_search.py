@@ -5,7 +5,7 @@ from functools import partial
 
 import pytest
 
-from conftest import Q25_MINIMAL_TESTS, random_matrix
+from conftest import Q25_MINIMAL_TESTS, random_matrix, wide_matrix_lines
 from reference import deadend_reduce, labels
 from test_search_pins import PINS, TOGGLES
 
@@ -174,6 +174,22 @@ class TestEnumerate:
         wide = ClassSet(columns=tuple(range(1, 24)), classes=(view,))
         with pytest.raises(SearchCeilingError, match="23 columns exceed"):
             enumerate_local_minimal_tests(wide, SearchConfig(use_heuristic=False))
+
+    def test_ceiling_counts_free_columns(self):
+        """The heuristic-free ceiling applies to the columns left after the
+        mandatory ones: 24 columns, 2 mandatory, 22 free, is searched."""
+        m = BooleanMatrix.from_strings(wide_matrix_lines())
+        default = enumerate_minimal_tests(m)
+        bare = enumerate_minimal_tests(m, SearchConfig(use_heuristic=False))
+        assert default.mandatory == (1, 2)
+        assert len(default.minimal_tests) == 91
+        assert bare.minimal_length == default.minimal_length == 5
+        assert bare.minimal_tests == default.minimal_tests
+
+    def test_negative_initial_length_refused(self):
+        with pytest.raises(ValueError, match="initial_length"):
+            SearchConfig(initial_length=-1)
+        assert SearchConfig(initial_length=0).initial_length == 0
 
     def test_narrow_class_set_without_heuristic(self, m8):
         report = enumerate_local_minimal_tests(m8, SearchConfig(use_heuristic=False))
