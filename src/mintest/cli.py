@@ -96,8 +96,11 @@ def _emit(path: str | None, text: str) -> None:
     at the null device, so that the exit flush cannot fail again."""
     text = text if text.endswith("\n") else text + "\n"
     if path:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise MatrixFormatError(f"cannot write output {path!r}: {exc}") from exc
         return
     try:
         sys.stdout.write(text)
@@ -414,17 +417,7 @@ def _cmd_oracle(args) -> int:
     if args.report:
         _emit(args.report, "\n".join(map(_columns_str, result.minimal_tests)))
     if args.json:
-        doc = {
-            "min_length": result.min_length,
-            "minimal_tests": [list(t) for t in result.minimal_tests],
-            "deadend_tests": (
-                None
-                if result.deadend_tests is None
-                else [list(t) for t in result.deadend_tests]
-            ),
-            "subsets_checked": result.subsets_checked,
-        }
-        _emit(args.output, json.dumps(doc, indent=2, sort_keys=True))
+        _emit(args.output, json.dumps(asdict(result), indent=2, sort_keys=True))
         return EXIT_OK
     lines = [
         f"minimal test length: {result.min_length}",

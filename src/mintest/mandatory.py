@@ -282,66 +282,45 @@ def parse_class_set(text: str) -> ClassSet:
     Labels in ``columns`` (at least one) and ``mandatory`` are distinct
     positive integers, and no mandatory label is also a view column.  Row
     labels and ``parent-rows`` are positive integers, and ``parent-rows``
-    is at least the number of rows in the classes.  Class names are M1,
-    M2, ... in file order.
+    is at least the number of rows in the classes.  Each header appears
+    at most once.  Class names are M1, M2, ... in file order.
     """
+    headers: dict[str, int] = {}  # header word -> its line
     columns: ColumnSet | None = None
     mandatory: ColumnSet = ()
-    mandatory_line = 0
     total_rows: int | None = None
-    total_rows_line = 0
-    classes: list[ClassView] = []
-    class_lines: list[int] = []
-    current_key: tuple[int, ...] | None = None
-    current_rows: list[tuple[int, int]] = []
+    # each class in file order: its line, its key and its (label, bits) rows
+    blocks: list[tuple[int, tuple[int, ...], list[tuple[int, int]]]] = []
     seen_labels: set[int] = set()
-
-    def flush() -> None:
-        nonlocal current_key, current_rows
-        if current_key is None:
-            return
-        if not current_rows:
-            raise MatrixFormatError("class with no rows")
-        labels = tuple(lab for lab, _ in current_rows)
-        rows = tuple(bits for _, bits in current_rows)
-        if len(set(rows)) != len(rows):
-            raise MatrixFormatError(
-                f"class {len(classes) + 1}: duplicate rows cannot be separated"
-            )
-        classes.append(
-            ClassView(
-                name=f"M{len(classes) + 1}",
-                key=current_key,
-                row_labels=labels,
-                rows=rows,
-            )
-        )
-        current_key, current_rows = None, []
-
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if line.startswith(_COLUMNS):
+        header = next((h for h in CLASS_SET_HEADERS if line.startswith(h)), None)
+        if header in headers:
+            raise MatrixFormatError(
+                f"line {lineno}: a second {header!r} header "
+                f"(the first is on line {headers[header]})"
+            )
+        if header:
+            headers[header] = lineno
+        if header == _COLUMNS:
             columns = _header_labels(lineno, line)
             if not columns:
                 raise MatrixFormatError(f"line {lineno}: 'columns:' lists no labels")
-        elif line.startswith(_MANDATORY):
-            mandatory, mandatory_line = _header_labels(lineno, line), lineno
-        elif line.startswith(_PARENT_ROWS):
+        elif header == _MANDATORY:
+            mandatory = _header_labels(lineno, line)
+        elif header == _PARENT_ROWS:
             total_rows = _positive_int(lineno, "'parent-rows:'", line.split(":", 1)[1])
-            total_rows_line = lineno
         elif line.split()[0] == "class":
-            flush()
             key_text = line[len("class") :].lstrip()
             if set(key_text) - {"0", "1"}:
                 raise MatrixFormatError(f"line {lineno}: bad class key {key_text!r}")
-            current_key = tuple(int(b) for b in key_text)
-            class_lines.append(lineno)
+            blocks.append((lineno, tuple(int(b) for b in key_text), []))
         elif ":" in line:
             if columns is None:
                 raise MatrixFormatError("row before 'columns:' header")
-            if current_key is None:
+            if not blocks:
                 raise MatrixFormatError(f"line {lineno}: row outside any class")
             label_text, bits_text = (t.strip() for t in line.split(":", 1))
             bits_text = bits_text.replace(" ", "")
@@ -353,31 +332,38 @@ def parse_class_set(text: str) -> ClassSet:
             if label in seen_labels:
                 raise MatrixFormatError(f"line {lineno}: duplicate row label {label}")
             seen_labels.add(label)
-            current_rows.append((label, int(bits_text, 2)))
+            blocks[-1][2].append((label, int(bits_text, 2)))
         else:
             raise MatrixFormatError(f"line {lineno}: unrecognized line {line!r}")
-    flush()
-    if columns is None or not classes:
+    if columns is None or not blocks:
         raise MatrixFormatError("class-set file needs a 'columns:' header and classes")
     shared = sorted(set(mandatory) & set(columns))
     if shared:
         raise MatrixFormatError(
-            f"line {mandatory_line}: 'mandatory:' label(s) "
+            f"line {headers[_MANDATORY]}: 'mandatory:' label(s) "
             f"{' '.join(map(str, shared))} are also in 'columns:'"
         )
-    if mandatory_line:  # headers may follow the classes, so check here
-        order = sorted(range(len(mandatory)), key=mandatory.__getitem__)
-        for view, lineno in zip(classes, class_lines):
-            if len(view.key) != len(mandatory):
+    # Every header is read now, so each class can be checked and built.
+    order = sorted(range(len(mandatory)), key=mandatory.__getitem__)
+    classes = []
+    for number, (lineno, key, block_rows) in enumerate(blocks, start=1):
+        if not block_rows:
+            raise MatrixFormatError("class with no rows")
+        labels, rows = zip(*block_rows)
+        if len(set(rows)) != len(rows):
+            raise MatrixFormatError(f"class {number}: duplicate rows cannot be separated")
+        if _MANDATORY in headers:
+            if len(key) != len(mandatory):
                 raise MatrixFormatError(
-                    f"line {lineno}: class key {''.join(map(str, view.key))!r} must "
+                    f"line {lineno}: class key {''.join(map(str, key))!r} must "
                     f"have length {len(mandatory)}, one bit per 'mandatory:' label"
                 )
-            view.key = tuple([view.key[i] for i in order])  # the labels' sorted order
+            key = tuple([key[i] for i in order])  # the labels' sorted order
+        classes.append(ClassView(name=f"M{number}", key=key, row_labels=labels, rows=rows))
     class_rows = sum(view.size for view in classes)
     if total_rows is not None and total_rows < class_rows:
         raise MatrixFormatError(
-            f"line {total_rows_line}: 'parent-rows:' {total_rows} is below "
+            f"line {headers[_PARENT_ROWS]}: 'parent-rows:' {total_rows} is below "
             f"the {class_rows} class rows"
         )
     return ClassSet(

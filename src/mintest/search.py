@@ -66,9 +66,10 @@ from .pruning import ClassSet, CycleCost, _local_verdict, _scan_size, cycle_cost
 
 
 class SearchCeilingError(RuntimeError):
-    """Exhaustive search refused: without the heuristic, a class set of more
-    free columns (those left after the mandatory ones) than the ceiling.
-    A negative start is refused earlier, by SearchConfig, as a ValueError."""
+    """Exhaustive search refused: without the heuristic or a named initial
+    length, a class set with a pair to separate and more free columns
+    (those left after the mandatory ones) than the ceiling.  A negative
+    start is refused earlier, by SearchConfig, as a ValueError."""
 
 
 @dataclass(frozen=True)
@@ -354,7 +355,8 @@ def _search_local(
     return length, tuple(sorted(tests)), stats, tuple(corrections)
 
 
-# A search without the heuristic refuses a view of more columns than this.
+# A search that starts at 1 for want of an estimate refuses a view of more
+# columns than this.
 _NO_HEURISTIC_CEILING = 22
 
 
@@ -367,15 +369,10 @@ def enumerate_local_minimal_tests(
     heuristic estimate over the two largest classes, else at 1.  A class
     set with no class of two rows has no pair to separate: its one
     minimal local test is the empty set, under every configuration, with
-    no estimate and no size scanned.  Without the heuristic, a view of
-    more columns than the ceiling is refused before any scan.
+    no estimate and no size scanned.  A search with neither the heuristic
+    nor a named initial length starts at 1, and refuses a view of more
+    columns than the ceiling before any scan.
     """
-    n_free = len(class_set.columns)
-    if not config.use_heuristic and n_free > _NO_HEURISTIC_CEILING:
-        raise SearchCeilingError(
-            f"{n_free} columns exceed the ceiling of "
-            f"{_NO_HEURISTIC_CEILING} for heuristic-free search"
-        )
     mand = class_set.mandatory
     estimate = None
     if not class_set.within_pair_total:
@@ -388,6 +385,12 @@ def enumerate_local_minimal_tests(
             estimate = estimate_length(union_pair_stats(class_set))
             start = estimate.t0
         else:
+            n_free = len(class_set.columns)
+            if n_free > _NO_HEURISTIC_CEILING:
+                raise SearchCeilingError(
+                    f"{n_free} columns exceed the ceiling of "
+                    f"{_NO_HEURISTIC_CEILING} for heuristic-free search"
+                )
             start = 1
         length, tests, stats, corrections = _search_local(class_set, start, config)
     return LocalReport(

@@ -354,6 +354,42 @@ class TestEnumerate:
         assert (code, out) == (1, "")
         assert err == f"error: {message}\n"
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            (
+                "columns: 1 2\nclass\n1: 01\n2: 10\ncolumns: 3 4 5\n",
+                "line 5: a second 'columns:' header (the first is on line 1)",
+            ),
+            (
+                "columns: 1 2 3\nclass\n1: 001\n2: 010\n3: 100\ncolumns: 7\n",
+                "line 6: a second 'columns:' header (the first is on line 1)",
+            ),
+        ],
+    )
+    def test_class_set_repeated_columns_header_exit_1(
+        self, capsys, tmp_path, text, message
+    ):
+        """A second 'columns:' header after the rows would relabel them,
+        or leave rows wider than the view."""
+        path = tmp_path / "classes.txt"
+        path.write_text(text)
+        code, out, err = run(capsys, "enumerate", "--input", str(path))
+        assert (code, out) == (1, "")
+        assert err == f"error: {message}\n"
+
+    def test_class_set_no_heuristic_without_pairs(self, capsys, tmp_path):
+        """Two one-row classes over 23 columns: nothing to search, so the
+        heuristic-free ceiling does not apply."""
+        path = tmp_path / "singles.txt"
+        path.write_text(
+            "columns: " + " ".join(str(c) for c in range(1, 24)) + "\n"
+            "class 0\n1: " + "0" * 23 + "\nclass 1\n2: " + "1" * 23 + "\n"
+        )
+        code, out, err = run(capsys, "enumerate", "--input", str(path), "--no-heuristic")
+        assert (code, err) == (0, "")
+        assert "local minimal test length: 0" in out
+
     def test_class_set_no_heuristic_ceiling_exit_3(self, capsys, tmp_path):
         # 3 rows over 24 columns: above the default ceiling of 22
         path = tmp_path / "wide.txt"
@@ -463,6 +499,20 @@ class TestGenAndBench:
         code, out, _ = run(capsys, "analyze", "--input", str(path))
         assert code == 0
         assert "matrix: 10 rows x 8 columns" in out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("gen", "--rows", "4", "--cols", "3", "--output"),
+            ("enumerate", "--input", "q25x10", "--report"),
+        ],
+    )
+    def test_unwritable_output_exit_1(self, capsys, tmp_path, argv):
+        path = tmp_path / "missing" / "out.txt"
+        code, out, err = run(capsys, *argv, str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: cannot write output {str(path)!r}: ")
+        assert err.count("\n") == 1
 
     def test_gen_pigeonhole_exit_1(self, capsys):
         code, _, err = run(capsys, "gen", "--rows", "3", "--cols", "1")

@@ -3,7 +3,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import Q25_CLASSES, random_matrix
 
@@ -15,6 +15,7 @@ from mintest import (
     class_views,
     enumerate_local_minimal_tests,
     find_mandatory,
+    fixture_text,
     is_test,
     load_class_set,
     oracle_minimal_tests,
@@ -23,6 +24,7 @@ from mintest import (
     partition_by_mandatory,
 )
 from mintest.cli import main
+from mintest.mandatory import CLASS_SET_HEADERS
 from mintest.matrix import MatrixFormatError
 from reference import candidate_pairs, is_local_test
 
@@ -411,6 +413,30 @@ class TestClassSetParsing:
             parse_class_set(text)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("columns: 1 2\ncolumns: 1 2\nclass 0\n1: 01\n2: 10\n",
+             "line 2: a second 'columns:' header (the first is on line 1)"),
+            ("columns: 1 2\nclass 0\n1: 01\n2: 10\ncolumns: 3 4\n",
+             "line 5: a second 'columns:' header (the first is on line 1)"),
+            ("mandatory: 3\ncolumns: 1 2\nmandatory: 3\nclass 0\n1: 01\n2: 10\n",
+             "line 3: a second 'mandatory:' header (the first is on line 1)"),
+            ("columns: 1 2\nmandatory: 3\nclass 0\n1: 01\n2: 10\nmandatory: 4\n",
+             "line 6: a second 'mandatory:' header (the first is on line 2)"),
+            ("columns: 1 2\nparent-rows: 5\nparent-rows: 6\nclass 0\n1: 01\n2: 10\n",
+             "line 3: a second 'parent-rows:' header (the first is on line 2)"),
+            ("columns: 1 2\nparent-rows: 5\nclass 0\n1: 01\n2: 10\nparent-rows: 6\n",
+             "line 6: a second 'parent-rows:' header (the first is on line 2)"),
+        ],
+    )
+    def test_rejects_a_repeated_header(self, text, message):
+        """A second header would silently replace the first, after the
+        rows were read against it."""
+        with pytest.raises(MatrixFormatError) as info:
+            parse_class_set(text)
+        assert str(info.value) == message
+
     def test_load_class_set_reads_a_file(self, tmp_path):
         text = "columns: 1 2\nmandatory: 3\nclass 0\n1: 01\n2: 10\n"
         path = tmp_path / "cs.txt"
@@ -494,3 +520,44 @@ class TestClassSetFileRoundTrip:
             doc = json.loads(output.read_text(encoding="utf-8"))
         assert doc["local_length"] == report.local_length
         assert doc["local_tests"] == [list(t) for t in report.local_tests]
+
+
+M8_LINES = tuple(fixture_text("m8_local").splitlines())
+M8_HEADERS = tuple(line for line in M8_LINES if line.startswith(CLASS_SET_HEADERS))
+
+
+@st.composite
+def m8_mutations(draw):
+    """The m8_local text with one line deleted, duplicated or moved to
+    the end, or with a second copy of a header, one label dropped,
+    appended."""
+    lines = list(M8_LINES)
+    kind = draw(st.sampled_from(["delete", "duplicate", "move", "header"]))
+    if kind == "header":
+        words = draw(st.sampled_from(M8_HEADERS)).split()
+        del words[draw(st.integers(1, len(words) - 1))]
+        lines.append(" ".join(words))
+    else:
+        i = draw(st.integers(0, len(lines) - 1))
+        if kind == "delete":
+            del lines[i]
+        elif kind == "duplicate":
+            lines.insert(i, lines[i])
+        else:
+            lines.append(lines.pop(i))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=150, deadline=None)
+@given(m8_mutations())
+@example("\n".join(M8_LINES) + "\ncolumns: 1 5 8\n")
+def test_a_mutated_class_set_is_refused_or_searchable(text):
+    """A one-line fault in a class-set file is refused, or the file still
+    reads as a class set whose rows fit its columns and can be searched."""
+    try:
+        class_set = parse_class_set(text)
+    except MatrixFormatError:
+        return
+    width = len(class_set.columns)
+    assert all(row >> width == 0 for view in class_set.classes for row in view.rows)
+    enumerate_local_minimal_tests(class_set)

@@ -186,6 +186,29 @@ class TestEnumerate:
         assert bare.minimal_length == default.minimal_length == 5
         assert bare.minimal_tests == default.minimal_tests
 
+    def test_no_heuristic_class_set_without_pairs(self, no_scan):
+        """Two one-row classes over 23 columns leave nothing to separate:
+        the empty local test, with no search and so no ceiling."""
+        singles = tuple(
+            ClassView(name=f"M{i}", key=(i - 1,), row_labels=(i,), rows=(i,))
+            for i in (1, 2)
+        )
+        wide = ClassSet(columns=tuple(range(1, 24)), classes=singles)
+        report = enumerate_local_minimal_tests(wide, SearchConfig(use_heuristic=False))
+        assert (report.local_length, report.local_tests) == (0, ((),))
+
+    def test_no_heuristic_named_start_is_searched(self):
+        """The ceiling guards the start at 1 for want of an estimate, not
+        a named start: 23 free columns from length 5 give the answer the
+        heuristic run from length 5 gives."""
+        m = random_matrix(3, rows=12, cols=23)
+        named = enumerate_minimal_tests(m, SearchConfig(initial_length=5))
+        bare = enumerate_minimal_tests(
+            m, SearchConfig(use_heuristic=False, initial_length=5)
+        )
+        assert (named.minimal_length, len(named.minimal_tests)) == (4, 41)
+        assert bare.minimal_tests == named.minimal_tests
+
     def test_negative_initial_length_refused(self):
         with pytest.raises(ValueError, match="initial_length"):
             SearchConfig(initial_length=-1)
