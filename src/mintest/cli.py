@@ -115,7 +115,7 @@ def _columns_str(columns) -> str:
 
 
 def _test_str(test) -> str:
-    """A test in a listing of tests, where the empty one needs a name."""
+    """A column set as printed, where the empty one needs a name."""
     return _columns_str(test) or "(empty)"
 
 
@@ -374,7 +374,6 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    _at_least("--ceiling", args.ceiling)
     data = _parse_any(_read_input(args.input))
     if isinstance(data, ClassSet):
         raise MatrixFormatError("verify needs a full matrix input")
@@ -387,19 +386,17 @@ def _cmd_verify(args) -> int:
         raise MatrixFormatError(
             f"column {min(outside)} out of range 1..{data.col_count}"
         )
-    verdict = verify_test(data, columns, oracle_ceiling=args.ceiling)
+    verdict = verify_test(data, columns)
     if args.json:
         _emit(args.output, json.dumps(asdict(verdict), indent=2, sort_keys=True))
     else:
         lines = [
-            f"columns: {_columns_str(verdict.columns)}",
+            f"columns: {_test_str(verdict.columns)}",
             f"test: {'yes' if verdict.test else 'no'}",
             f"dead-end: {'-' if verdict.deadend is None else ('yes' if verdict.deadend else 'no')}",
             f"minimal: {verdict.minimal}"
             + (f" (minimal length {verdict.min_length})" if verdict.min_length is not None else ""),
         ]
-        if verdict.note:
-            lines.append(f"note: {verdict.note}")
         _emit(args.output, "\n".join(lines))
     return EXIT_OK
 
@@ -548,7 +545,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check one column set")
     add_common(p)
     p.add_argument("--test", required=True, help="column list, e.g. 1,2,4,5,6,8,10")
-    p.add_argument("--ceiling", type=int, default=MINIMAL_CEILING, help="oracle column ceiling")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("oracle", help="exhaustive enumeration (ground truth)")

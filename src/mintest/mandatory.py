@@ -319,7 +319,7 @@ def parse_class_set(text: str) -> ClassSet:
             blocks.append((lineno, tuple(int(b) for b in key_text), []))
         elif ":" in line:
             if columns is None:
-                raise MatrixFormatError("row before 'columns:' header")
+                raise MatrixFormatError(f"line {lineno}: row before 'columns:' header")
             if not blocks:
                 raise MatrixFormatError(f"line {lineno}: row outside any class")
             label_text, bits_text = (t.strip() for t in line.split(":", 1))
@@ -345,19 +345,28 @@ def parse_class_set(text: str) -> ClassSet:
         )
     # Every header is read now, so each class can be checked and built.
     order = sorted(range(len(mandatory)), key=mandatory.__getitem__)
+    key_lines: dict[tuple[int, ...], int] = {}  # each key -> its class's line
     classes = []
     for number, (lineno, key, block_rows) in enumerate(blocks, start=1):
         if not block_rows:
-            raise MatrixFormatError("class with no rows")
+            raise MatrixFormatError(f"line {lineno}: class with no rows")
         labels, rows = zip(*block_rows)
         if len(set(rows)) != len(rows):
-            raise MatrixFormatError(f"class {number}: duplicate rows cannot be separated")
+            raise MatrixFormatError(
+                f"line {lineno}: class {number}: duplicate rows cannot be separated"
+            )
         if _MANDATORY in headers:
             if len(key) != len(mandatory):
                 raise MatrixFormatError(
                     f"line {lineno}: class key {''.join(map(str, key))!r} must "
                     f"have length {len(mandatory)}, one bit per 'mandatory:' label"
                 )
+            if key in key_lines:  # as written: the reorder below is one permutation
+                raise MatrixFormatError(
+                    f"line {lineno}: a second class with key {''.join(map(str, key))!r} "
+                    f"(the first is on line {key_lines[key]})"
+                )
+            key_lines[key] = lineno
             key = tuple([key[i] for i in order])  # the labels' sorted order
         classes.append(ClassView(name=f"M{number}", key=key, row_labels=labels, rows=rows))
     class_rows = sum(view.size for view in classes)

@@ -61,7 +61,6 @@ from .matrix import (
     is_test,
     normalize_columns,
 )
-from .oracle import MINIMAL_CEILING, OracleCeilingError, oracle_minimal_tests
 from .pruning import ClassSet, CycleCost, _local_verdict, _scan_size, cycle_costs
 
 
@@ -164,14 +163,13 @@ class TestReport:
 @dataclass(slots=True)
 class TestVerdict:
     """Whether a column set is a test, a dead-end one, and a minimal one
-    ("yes", "no", or "unknown" when the matrix is past the oracle ceiling)."""
+    ("yes" or "no"), with the matrix's minimal length for a test."""
 
     columns: ColumnSet
     test: bool
     deadend: bool | None
     minimal: str
     min_length: int | None
-    note: str = ""
 
 
 # ---------------------------------------------------------------------------
@@ -213,41 +211,31 @@ def is_deadend(matrix: BooleanMatrix, columns: Iterable[int]) -> DeadendCheck:
     return DeadendCheck(ok=redundant is None, witnesses=tuple(witnesses), redundant=redundant)
 
 
-def verify_test(
-    matrix: BooleanMatrix,
-    columns: Iterable[int],
-    oracle_ceiling: int = MINIMAL_CEILING,
-) -> TestVerdict:
+# The search verify_test runs for the minimal length.  Pruning never
+# changes the length, and the seed test costs most on wide views with
+# many rows, where the row triples exceed pruning._TRIPLE_MASK_CAP.
+_VERIFY = SearchConfig(first_only=True, seed_prune=False, pair_prune=False)
+
+
+def verify_test(matrix: BooleanMatrix, columns: Iterable[int]) -> TestVerdict:
     """Structured verdict: test? dead-end? minimal?
 
-    Minimality is decided by the exhaustive oracle when the matrix is
-    small enough; otherwise it is reported unknown with the heuristic
-    estimate as context.  A matrix of fewer than two rows has one minimal
-    test, the empty set, and needs neither.
+    A test is minimal when its size is the minimal length, which the
+    first-only search decides at any width; the search runs only for a
+    test, so a non-test has no minimal length.
     """
     cols = normalize_columns(columns, matrix.col_count)
     if not is_test(matrix, cols):
         return TestVerdict(
             columns=cols, test=False, deadend=None, minimal="no", min_length=None
         )
-    deadend = is_deadend(matrix, cols).ok
-    length = 0  # fewer than two rows: the empty set
-    if matrix.row_count >= 2:
-        try:
-            length = oracle_minimal_tests(matrix, n_ceiling=oracle_ceiling).min_length
-        except OracleCeilingError:
-            est = estimate_length(column_pair_stats(matrix))
-            return TestVerdict(
-                columns=cols,
-                test=True,
-                deadend=deadend,
-                minimal="unknown",
-                min_length=None,
-                note=f"matrix too wide for the oracle; heuristic estimate {est.t0}",
-            )
-    minimal = "yes" if len(cols) == length else "no"
+    length = enumerate_minimal_tests(matrix, _VERIFY).minimal_length
     return TestVerdict(
-        columns=cols, test=True, deadend=deadend, minimal=minimal, min_length=length
+        columns=cols,
+        test=True,
+        deadend=is_deadend(matrix, cols).ok,
+        minimal="yes" if len(cols) == length else "no",
+        min_length=length,
     )
 
 

@@ -432,7 +432,7 @@ class TestVerify:
     def test_one_row_above_the_oracle_ceiling(self, capsys, tmp_path):
         path = tmp_path / "one.txt"
         path.write_text("01" * 11 + "0\n")  # one row of 23 columns
-        argv = ("verify", "--input", str(path), "--test", "1", "--ceiling", "0")
+        argv = ("verify", "--input", str(path), "--test", "1")
         code, out, err = run(capsys, *argv)
         assert (code, err) == (0, "")
         assert out == (
@@ -441,6 +441,38 @@ class TestVerify:
         code, out, _ = run(capsys, *argv, "--json")
         assert code == 0
         assert json.loads(out)["min_length"] == 0
+
+    def test_wide_matrix_is_decided(self, capsys, tmp_path):
+        """24 columns, past the oracle's ceiling."""
+        path = tmp_path / "wide.txt"
+        path.write_text("\n".join(wide_matrix_lines()) + "\n")
+        code, out, _ = run(capsys, "enumerate", "--input", str(path), "--json")
+        listed = json.loads(out)["minimal_tests"][0]
+        code, out, err = run(
+            capsys, "verify", "--input", str(path), "--test", ",".join(map(str, listed))
+        )
+        assert (code, err) == (0, "")
+        assert out == (
+            f"columns: {','.join(map(str, listed))}\ntest: yes\ndead-end: yes\n"
+            "minimal: yes (minimal length 5)\n"
+        )
+        every = ",".join(map(str, range(1, 25)))
+        code, out, _ = run(capsys, "verify", "--input", str(path), "--test", every, "--json")
+        assert code == 0
+        assert json.loads(out) == {
+            "columns": list(range(1, 25)),
+            "test": True,
+            "deadend": False,
+            "minimal": "no",
+            "min_length": 5,
+        }
+
+    def test_empty_column_set_is_named(self, capsys):
+        code, out, _ = run(capsys, "verify", "--input", "q25x10", "--test", "")
+        assert code == 0
+        assert out.startswith("columns: (empty)\ntest: no\n")
+        code, out, _ = run(capsys, "verify", "--input", "q25x10", "--test", "", "--json")
+        assert json.loads(out)["columns"] == []
 
 
 class TestOracle:
@@ -646,8 +678,12 @@ class TestUsageErrors:
             (["bench", "--count", "abc"], "argument --count: invalid int value: 'abc'"),
             (["analyze"], "the following arguments are required: --input"),
             (["analyze", "--input", "q25x10", "--bogus"], "unrecognized arguments: --bogus"),
+            (
+                ["verify", "--input", "q25x10", "--test", "1", "--ceiling", "5"],
+                "unrecognized arguments: --ceiling 5",
+            ),
         ],
-        ids=["bad-int", "missing-input", "unknown-flag"],
+        ids=["bad-int", "missing-input", "unknown-flag", "verify-ceiling"],
     )
     def test_usage_error_exit_1(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:
@@ -667,10 +703,6 @@ class TestNegativeFlags:
             (["bench", "--workers", "0"], "--workers must be >= 1, got 0"),
             (["bench", "--workers", "-2"], "--workers must be >= 1, got -2"),
             (["bench", "--oracle-ceiling", "-1"], "--oracle-ceiling must be >= 0, got -1"),
-            (
-                ["verify", "--input", "q25x10", "--test", "1,2", "--ceiling", "-1"],
-                "--ceiling must be >= 0, got -1",
-            ),
             (["oracle", "--input", "q25x10", "--ceiling", "-1"], "--ceiling must be >= 0, got -1"),
             (
                 ["oracle", "--input", "q25x10", "--deadend", "--ceiling-deadend", "-1"],
@@ -682,7 +714,6 @@ class TestNegativeFlags:
             "bench-workers-0",
             "bench-workers-negative",
             "bench-oracle-ceiling",
-            "verify-ceiling",
             "oracle-ceiling",
             "oracle-ceiling-deadend",
         ],
@@ -697,12 +728,6 @@ class TestNegativeFlags:
         assert code == 0
         assert out.startswith("seed,m,n,density")
         assert len(out.splitlines()) == 1
-        code, out, _ = run(
-            capsys, "verify", "--input", "q25x10", "--test", "1,2,4,5,6,8,10",
-            "--ceiling", "0",
-        )
-        assert code == 0
-        assert "minimal: unknown" in out
 
 
 def readme_block(marker):

@@ -339,6 +339,40 @@ class TestClassSetParsing:
         assert main(["analyze", "--input", str(path)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            (
+                "columns: 1 2\nmandatory: 3\nclass 0\n1: 01\n2: 10\n"
+                "class 0\n3: 01\n4: 10\n",
+                "line 6: a second class with key '0' (the first is on line 3)",
+            ),
+            (
+                "columns: 1\nclass 10\n1: 0\n2: 1\nclass 01\n3: 0\n4: 1\n"
+                "class 10\n5: 0\n6: 1\nmandatory: 5 3\n",
+                "line 8: a second class with key '10' (the first is on line 2)",
+            ),
+        ],
+    )
+    def test_rejects_a_repeated_key_under_mandatory_header(
+        self, text, message, tmp_path, capsys
+    ):
+        """The mandatory columns give each class its own key; two classes
+        of one key would pair rows that agree on every column, so the
+        integral tests could not separate them."""
+        with pytest.raises(MatrixFormatError) as info:
+            parse_class_set(text)
+        assert str(info.value) == message
+        path = tmp_path / "classes.txt"
+        path.write_text(text)
+        assert main(["enumerate", "--input", str(path)]) == 1
+        out = capsys.readouterr()
+        assert (out.out, out.err) == ("", f"error: {message}\n")
+
+    def test_repeated_key_without_mandatory_header(self):
+        cs = parse_class_set("columns: 1 2\nclass 0\n1: 01\n2: 10\nclass 0\n3: 01\n4: 10\n")
+        assert [view.key for view in cs.classes] == [(0,), (0,)]
+
     def test_key_of_any_width_without_mandatory_header(self):
         cs = parse_class_set("columns: 1 4\nclass 1\n1: 01\n2: 10\nclass 101\n3: 01\n4: 10\n")
         assert [view.key for view in cs.classes] == [(1,), (1, 0, 1)]
@@ -400,10 +434,10 @@ class TestClassSetParsing:
     @pytest.mark.parametrize(
         "text,message",
         [
-            ("columns: 1 2\nclass 0\nclass 1\n1: 01\n", "class with no rows"),
-            ("columns: 1 2\nclass 0\n1: 01\nclass 1\n", "class with no rows"),
+            ("columns: 1 2\nclass 0\nclass 1\n1: 01\n", "line 2: class with no rows"),
+            ("columns: 1 2\nclass 0\n1: 01\nclass 1\n", "line 4: class with no rows"),
             ("columns: 1 2\nclass 1x\n1: 01\n", "line 2: bad class key '1x'"),
-            ("class 0\n1: 01\ncolumns: 1 2\n", "row before 'columns:' header"),
+            ("class 0\n1: 01\ncolumns: 1 2\n", "line 2: row before 'columns:' header"),
             ("columns: 1 2\nparent-rows: 5\n", "class-set file needs a 'columns:' header and classes"),
             ("parent-rows: 5\nmandatory: 3\n", "class-set file needs a 'columns:' header and classes"),
         ],
@@ -460,7 +494,8 @@ def class_set_files(draw):
     """A small class set and its text in the parse_class_set format:
     distinct column labels, optional mandatory labels apart from them
     (in any order), an optional parent row count of at least the class
-    rows, rows distinct within each class and row labels distinct."""
+    rows, rows distinct within each class, row labels distinct and, under
+    a mandatory header, class keys distinct."""
     labels = st.integers(1, 40)
     columns = tuple(draw(st.lists(labels, min_size=1, max_size=6, unique=True)))
     mandatory = draw(
@@ -468,7 +503,10 @@ def class_set_files(draw):
         | st.lists(labels.filter(lambda c: c not in columns), max_size=4, unique=True)
     )
     width = len(columns)
-    sizes = draw(st.lists(st.integers(1, min(5, 1 << width)), min_size=1, max_size=4))
+    key_width = len(mandatory or ())
+    # under a mandatory header each class has its own key
+    most = 4 if mandatory is None else min(4, 1 << key_width)
+    sizes = draw(st.lists(st.integers(1, min(5, 1 << width)), min_size=1, max_size=most))
     row_labels = iter(
         draw(st.lists(st.integers(1, 500), min_size=sum(sizes), max_size=sum(sizes), unique=True))
     )
@@ -478,12 +516,14 @@ def class_set_files(draw):
         lines.append("mandatory: " + " ".join(map(str, mandatory)))
     if total_rows is not None:
         lines.append(f"parent-rows: {total_rows}")
-    key_width = len(mandatory or ())
     # parsed keys follow the sorted mandatory labels, bit by bit
     order = sorted(range(key_width), key=(mandatory or ()).__getitem__)
+    bits = st.tuples(*[st.integers(0, 1)] * key_width)
+    keys = draw(
+        st.lists(bits, min_size=len(sizes), max_size=len(sizes), unique=mandatory is not None)
+    )
     classes = []
-    for i, size in enumerate(sizes):
-        key = tuple(draw(st.lists(st.integers(0, 1), min_size=key_width, max_size=key_width)))
+    for i, (size, key) in enumerate(zip(sizes, keys)):
         rows = tuple(
             draw(st.lists(st.integers(0, (1 << width) - 1), min_size=size, max_size=size, unique=True))
         )

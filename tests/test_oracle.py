@@ -15,7 +15,6 @@ from mintest import (
     oracle_deadend_tests,
     oracle_minimal_tests,
     parse_matrix,
-    verify_test,
 )
 from mintest.cli import build_parser
 from mintest.oracle import DEADEND_CEILING, MINIMAL_CEILING
@@ -43,12 +42,9 @@ def test_every_ceiling_default_is_the_oracle_constant():
 
     assert default(oracle_minimal_tests, "n_ceiling") == MINIMAL_CEILING
     assert default(oracle_deadend_tests, "n_ceiling") == DEADEND_CEILING
-    assert default(verify_test, "oracle_ceiling") == MINIMAL_CEILING
     assert default(bench_matrix, "oracle_ceiling") == MINIMAL_CEILING
     assert StreamConfig(count=0).oracle_ceiling == MINIMAL_CEILING
     parse = build_parser().parse_args
-    verify = parse(["verify", "--input", "q25x10", "--test", "1"])
-    assert verify.ceiling == MINIMAL_CEILING
     oracle = parse(["oracle", "--input", "q25x10"])
     assert (oracle.ceiling, oracle.ceiling_deadend) == (MINIMAL_CEILING, DEADEND_CEILING)
     assert parse(["bench"]).oracle_ceiling == MINIMAL_CEILING

@@ -4,6 +4,7 @@ from collections import Counter
 from functools import partial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import Q25_MINIMAL_TESTS, random_matrix, wide_matrix_lines
 from reference import deadend_reduce, labels
@@ -373,6 +374,24 @@ class TestLocalEnumeration:
         assert verdict(m8.mask((1, 5))) is None
 
 
+@st.composite
+def verify_cases(draw):
+    """A matrix of distinct rows over up to 10 columns, one of its minimal
+    tests and, unless that test is every column, the test with one more
+    column."""
+    n = draw(st.integers(1, 10))
+    rows = draw(
+        st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=16, unique=True)
+    )
+    matrix = BooleanMatrix(
+        col_count=n, rows=tuple(rows), row_labels=tuple(range(1, len(rows) + 1))
+    )
+    minimal = draw(st.sampled_from(oracle_minimal_tests(matrix).minimal_tests))
+    rest = [c for c in range(1, n + 1) if c not in minimal]
+    longer = tuple(sorted(minimal + (draw(st.sampled_from(rest)),))) if rest else None
+    return matrix, minimal, longer
+
+
 class TestVerify:
     def test_minimal_test(self, q25):
         v = verify_test(q25, Q25_FULL_TEST)
@@ -390,29 +409,42 @@ class TestVerify:
         assert v.deadend is False
         assert v.minimal == "no"
 
-    def test_oracle_ceiling_unknown(self, q25):
-        v = verify_test(q25, Q25_FULL_TEST, oracle_ceiling=5)
-        assert v.test
-        assert v.minimal == "unknown"
-        assert "estimate" in v.note
-
     def test_one_row_above_the_oracle_ceiling(self, monkeypatch):
         """One row: the empty set is the one minimal test, answered with
-        no oracle call and no estimate."""
+        no estimate."""
 
         def refuse(*args, **kwargs):
             raise AssertionError("called for a one-row matrix")
 
-        monkeypatch.setattr(mintest.search, "oracle_minimal_tests", refuse)
         monkeypatch.setattr(mintest.search, "column_pair_stats", refuse)
         one = parse_matrix("01" * 11 + "0")
         assert one.col_count == 23
-        v = verify_test(one, (1,), oracle_ceiling=0)
-        assert (v.test, v.deadend, v.minimal, v.min_length, v.note) == (
-            True, False, "no", 0, ""
-        )
-        v = verify_test(one, (), oracle_ceiling=0)
+        v = verify_test(one, (1,))
+        assert (v.test, v.deadend, v.minimal, v.min_length) == (True, False, "no", 0)
+        v = verify_test(one, ())
         assert (v.test, v.deadend, v.minimal, v.min_length) == (True, True, "yes", 0)
+
+    def test_wide_matrix_is_decided(self):
+        """24 columns, past the oracle's ceiling: the search decides."""
+        m = BooleanMatrix.from_strings(wide_matrix_lines())
+        listed = enumerate_minimal_tests(m).minimal_tests
+        assert len(listed) == 91
+        for test in (listed[0], listed[-1]):
+            v = verify_test(m, test)
+            assert (v.test, v.deadend, v.minimal, v.min_length) == (True, True, "yes", 5)
+        v = verify_test(m, range(1, 25))
+        assert (v.test, v.deadend, v.minimal, v.min_length) == (True, False, "no", 5)
+
+    @settings(max_examples=120, deadline=None)
+    @given(verify_cases())
+    def test_min_length_is_the_oracle_length(self, case):
+        matrix, minimal, longer = case
+        length = oracle_minimal_tests(matrix).min_length
+        v = verify_test(matrix, minimal)
+        assert (v.test, v.minimal, v.min_length) == (True, "yes", length)
+        if longer is not None:
+            v = verify_test(matrix, longer)
+            assert (v.test, v.minimal, v.min_length) == (True, "no", length)
 
 
 class TestExactnessStream:
